@@ -210,8 +210,11 @@ def _rom_for(args) -> RomTable:
     if not path:
         return default_rom_table()
     _require_files(path)
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"malformed ROM table {path}: {exc}") from exc
     try:
         rom = np.zeros((12, 3))
         w = np.zeros((12, 3))

@@ -502,11 +502,21 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, ModelConfig)."""
+    """Read a checkpoint; returns (params, ModelConfig).
+
+    A file that is not a complete checkpoint of this version raises DataError.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic)")
+    try:
+        return _parse_checkpoint(path, data)
+    except (struct.error, ValueError) as exc:
+        raise DataError(f"{path}: truncated or corrupt checkpoint: {exc}") from exc
+
+
+def _parse_checkpoint(path, data: bytes):
     off = len(CKPT_MAGIC)
     version, hlen = struct.unpack_from("<II", data, off)
     off += 8

@@ -84,27 +84,29 @@ def normalize(v: np.ndarray, axis: int = -1, eps: float = 1e-12):
 
 
 def orthonormal_pair(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
-    """Right-handed frame (3, 3) from a primary direction and a secondary hint.
+    """Right-handed frames (..., 3, 3) from primary directions and secondary hints.
 
     Column 0 is the unit primary, column 1 the secondary Gram-Schmidted
-    against it, column 2 their cross product. Raises if the pair is
+    against it, column 2 their cross product. ``primary`` and ``secondary``
+    are (..., 3) and broadcast against each other. Raises if any pair is
     (near-)collinear.
     """
     e0 = normalize(primary)
     s = np.asarray(secondary, dtype=float)
-    s = s - np.dot(s, e0) * e0
+    s = s - np.sum(s * e0, axis=-1, keepdims=True) * e0
     e1 = normalize(s)
     e2 = np.cross(e0, e1)
-    return np.stack([e0, e1, e2], axis=-1)
+    return np.stack(np.broadcast_arrays(e0, e1, e2), axis=-1)
 
 
 def rotation_from_pairs(u_primary, u_secondary, v_primary, v_secondary) -> np.ndarray:
-    """Rotation R with R @ u_primary ~ v_primary and R @ u_secondary ~ v_secondary.
+    """Rotations R with R @ u_primary ~ v_primary and R @ u_secondary ~ v_secondary.
 
     Both pairs are orthonormalized the same way first, so the map is exact on
     the primary direction and exact on the secondary one whenever the input
-    pairs have the same mutual angle (rigid data).
+    pairs have the same mutual angle (rigid data). All four arguments are
+    (..., 3) and broadcast; the result is (..., 3, 3).
     """
     fu = orthonormal_pair(u_primary, u_secondary)
     fv = orthonormal_pair(v_primary, v_secondary)
-    return fv @ fu.T
+    return fv @ np.swapaxes(fu, -1, -2)

@@ -28,6 +28,13 @@ decomposed as intrinsic XYZ Euler angles; in the canonical rest pose every
 frame is world-aligned, so all angles are zero there and rotation about y is
 sagittal-plane motion (flexion/extension), about x frontal-plane motion
 (abduction/adduction, pelvic roll), about z axial rotation.
+
+Angle extraction is batched over frames: ``extract_angle_sequence`` builds
+each row of the table for all N frames at once as (N, 3, 3) arrays, with the
+decoration fallbacks as per-frame masks, and ``extract_angles`` is its
+one-frame case. It takes (N, 19, 3) landmark stacks or (N, 12, 3) joint
+stacks (``forward_kinematics`` output), whose missing decorations take the
+fallbacks.
 """
 
 from __future__ import annotations
@@ -512,90 +519,130 @@ def pelvis_normalize(positions: np.ndarray) -> np.ndarray:
 # =============================================================================
 
 
-def _dir(frame: np.ndarray, a: str, b: str) -> Optional[np.ndarray]:
-    """Unit direction a -> b, or None when either endpoint is missing."""
-    v = frame[LM[b]] - frame[LM[a]]
-    if not np.isfinite(v).all():
-        return None
-    n = np.linalg.norm(v)
-    if n < 1e-9:
-        return None
-    return v / n
+_JOINT_ROWS = [LM[j] for j in JOINTS]
+# Parent joint index per joint; the pelvis (root) is its own placeholder and
+# gets the world frame instead.
+_PARENT_INDEX = [JID[JOINT_PARENT[j] or j] for j in JOINTS]
 
 
-def _frames_from_positions(frame: np.ndarray) -> dict:
-    """World frame of every joint, built from observables per the table."""
-    trunk = _dir(frame, "pelvis", "neck")
-    hip_axis = _dir(frame, "r_hip", "l_hip")
-    if trunk is None or hip_axis is None:
-        raise DegenerateFrameError("pelvis frame needs trunk and hip-axis directions")
+def _directions(pos: np.ndarray, a: str, b: str):
+    """Unit directions a -> b over frames, (N, 3), and the (N,) mask of frames
+    where both endpoints exist and are at least 1 nm apart (NaN rows elsewhere)."""
+    v = pos[:, LM[b]] - pos[:, LM[a]]
+    n = np.linalg.norm(v, axis=-1)
+    ok = np.isfinite(v).all(axis=-1) & (n >= 1e-9)
+    unit = np.full_like(v, np.nan)
+    unit[ok] = v[ok] / n[ok, None]
+    return unit, ok
+
+
+def _check_frames(pos: np.ndarray, required) -> None:
+    """Raise for the first frame that lacks a joint landmark or one of the
+    ``required`` (ok mask, message) directions, in the order a per-frame
+    pass would meet them."""
+    missing = ~np.isfinite(pos[:, _JOINT_ROWS]).all(axis=-1)        # (N, 12)
+    bad_dir = ~np.stack([ok for ok, _ in required], axis=-1)         # (N, C)
+    bad = missing.any(axis=-1) | bad_dir.any(axis=-1)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    if missing[k].any():
+        names = [JOINTS[j] for j in np.flatnonzero(missing[k])]
+        raise DataError(f"frame {k}: joint landmarks missing: {names}")
+    message = required[int(np.argmax(bad_dir[k]))][1]
+    raise DegenerateFrameError(f"frame {k}: {message}")
+
+
+def _frames_from_positions(pos: np.ndarray) -> np.ndarray:
+    """World frame of every joint in every frame, (N, 12, 3, 3), built from
+    observables per the table; all frames at once."""
+    trunk, trunk_ok = _directions(pos, "pelvis", "neck")
+    hip_axis, hip_ok = _directions(pos, "r_hip", "l_hip")
+    sh_axis, sh_ok = _directions(pos, "r_shoulder", "l_shoulder")
+    primary = {j: _directions(pos, j, c) for j, c in _PRIMARY_CHILD.items()}
+    required = [
+        (trunk_ok & hip_ok, "pelvis frame needs trunk and hip-axis directions"),
+        (sh_ok, "neck frame needs the shoulder axis"),
+    ] + [
+        (ok, f"{j} frame needs the {_PRIMARY_CHILD[j]} direction")
+        for j, (_, ok) in primary.items()
+        if j not in ("l_elbow", "r_elbow")
+    ]
+    _check_frames(pos, required)
+
     z = np.array([0.0, 0.0, 1.0])
     y = np.array([0.0, 1.0, 0.0])
-    frames = {"pelvis": rotation_from_pairs(z, y, trunk, hip_axis)}
+    frames = np.empty((pos.shape[0], N_JOINTS, 3, 3))
+    pelvis = frames[:, JID["pelvis"]]
+    pelvis[:] = rotation_from_pairs(z, y, trunk, hip_axis)
+    frames[:, JID["neck"]] = rotation_from_pairs(y, z, sh_axis, pelvis @ z)
 
-    sh_axis = _dir(frame, "r_shoulder", "l_shoulder")
-    if sh_axis is None:
-        raise DegenerateFrameError("neck frame needs the shoulder axis")
-    frames["neck"] = rotation_from_pairs(y, z, sh_axis, frames["pelvis"] @ z)
-
-    for joint, child in _PRIMARY_CHILD.items():
-        parent = JOINT_PARENT[joint]
-        d = _dir(frame, joint, child)
-        if d is None:
-            if joint in ("l_elbow", "r_elbow"):
-                frames[joint] = frames[parent].copy()
-                continue
-            raise DegenerateFrameError(f"{joint} frame needs the {child} direction")
-        u = REST_UNIT[child]
+    # Elbows without a wrist keep their parent's frame (identity rotation).
+    for joint, (d, ok) in primary.items():
+        parent = frames[:, JID[JOINT_PARENT[joint]]]
+        out = frames[:, JID[joint]]
+        out[:] = parent
         aux = _AUX_AXIS[joint]
-        frames[joint] = rotation_from_pairs(u, aux, d, frames[parent] @ aux)
+        out[ok] = rotation_from_pairs(
+            REST_UNIT[_PRIMARY_CHILD[joint]], aux, d[ok], parent[ok] @ aux
+        )
 
+    # Ankles without both toe and heel keep the knee's frame.
     for side in ("l", "r"):
-        ankle, knee = f"{side}_ankle", f"{side}_knee"
-        d_toe = _dir(frame, ankle, f"{side}_toe")
-        d_heel = _dir(frame, ankle, f"{side}_heel")
-        if d_toe is None or d_heel is None:
-            frames[ankle] = frames[knee].copy()
-        else:
-            frames[ankle] = rotation_from_pairs(
-                REST_UNIT[f"{side}_toe"], REST_UNIT[f"{side}_heel"], d_toe, d_heel
-            )
+        d_toe, toe_ok = _directions(pos, f"{side}_ankle", f"{side}_toe")
+        d_heel, heel_ok = _directions(pos, f"{side}_ankle", f"{side}_heel")
+        ok = toe_ok & heel_ok
+        out = frames[:, JID[f"{side}_ankle"]]
+        out[:] = frames[:, JID[f"{side}_knee"]]
+        out[ok] = rotation_from_pairs(
+            REST_UNIT[f"{side}_toe"], REST_UNIT[f"{side}_heel"], d_toe[ok], d_heel[ok]
+        )
     return frames
 
 
-def extract_angles(frame: np.ndarray, topo: Optional[SkeletonTopology] = None) -> Pose:
-    """Joint angles of one pelvis-normalized frame (19, 3; NaN = missing).
+def extract_angle_sequence(positions: np.ndarray, topo=None):
+    """Joint angles of a stack of pelvis-normalized frames, all frames at once.
 
-    All 12 joint landmarks must be present. Decoration landmarks are used
-    when available (forearms, feet); without them the corresponding joint
-    keeps an identity rotation rather than failing.
+    ``positions`` is (N, 19, 3) landmarks (NaN = missing) or (N, 12, 3) joint
+    positions in ``JOINTS`` order, such as ``forward_kinematics`` output; a
+    joint stack has no decoration landmarks, so its elbows and ankles keep
+    their parent frames. Returns ((N, 12, 3) angles, (N, 12) gimbal flags).
+
+    All 12 joint landmarks must be present in every frame (DataError naming
+    the first frame's missing joints otherwise). Decoration landmarks are
+    used where available (forearms, feet); in frames without them the
+    corresponding joint keeps an identity rotation rather than failing.
+    """
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim == 3 and pos.shape[1:] == (N_JOINTS, 3):
+        joints = pos
+        pos = np.full((joints.shape[0], N_LANDMARKS, 3), np.nan)
+        pos[:, _JOINT_ROWS] = joints
+    elif pos.ndim != 3 or pos.shape[1:] != (N_LANDMARKS, 3):
+        raise DataError(
+            f"positions must be (N, {N_LANDMARKS}, 3) or (N, {N_JOINTS}, 3), "
+            f"got {pos.shape}"
+        )
+    frames = _frames_from_positions(pos)
+    parents = frames[:, _PARENT_INDEX]
+    parents[:, JID["pelvis"]] = np.eye(3)
+    angles = matrix_to_euler(np.swapaxes(parents, -1, -2) @ frames)
+    return angles, is_gimbal(angles)
+
+
+def extract_angles(frame: np.ndarray, topo: Optional[SkeletonTopology] = None) -> Pose:
+    """Joint angles of one pelvis-normalized frame, (19, 3) or (12, 3).
+
+    The one-frame case of ``extract_angle_sequence``, with the same rules
+    for missing joint and decoration landmarks.
     """
     frame = np.asarray(frame, dtype=float)
-    if frame.shape != (N_LANDMARKS, 3):
-        raise DataError(f"frame must be ({N_LANDMARKS}, 3), got {frame.shape}")
-    missing = [j for j in JOINTS if not np.isfinite(frame[LM[j]]).all()]
-    if missing:
-        raise DataError(f"joint landmarks missing: {missing}")
-    frames = _frames_from_positions(frame)
-    angles = np.zeros((N_JOINTS, 3))
-    for joint in JOINTS:
-        parent = JOINT_PARENT[joint]
-        f_par = np.eye(3) if parent is None else frames[parent]
-        rel = f_par.T @ frames[joint]
-        angles[JID[joint]] = matrix_to_euler(rel)
-    return Pose(angles=angles)
-
-
-def extract_angle_sequence(positions: np.ndarray, topo=None):
-    """(N, 19, 3) normalized positions -> ((N, 12, 3) angles, (N, 12) gimbal)."""
-    n = positions.shape[0]
-    angles = np.zeros((n, N_JOINTS, 3))
-    gimbal = np.zeros((n, N_JOINTS), dtype=bool)
-    for i in range(n):
-        pose = extract_angles(positions[i], topo)
-        angles[i] = pose.angles
-        gimbal[i] = pose.gimbal
-    return angles, gimbal
+    if frame.ndim != 2:
+        raise DataError(
+            f"frame must be ({N_LANDMARKS}, 3) or ({N_JOINTS}, 3), got {frame.shape}"
+        )
+    angles, gimbal = extract_angle_sequence(frame[None], topo)
+    return Pose(angles=angles[0], gimbal=gimbal[0])
 
 
 def joint_world_frames(pose_angles: np.ndarray) -> np.ndarray:

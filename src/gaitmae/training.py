@@ -368,8 +368,11 @@ def save_train_config(path, train_cfg: TrainConfig, curriculum: CurriculumConfig
 
 
 def load_train_config(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
     try:
         return TrainConfig(**doc.get("train", {})), CurriculumConfig(**doc.get("curriculum", {}))
     except TypeError as e:

@@ -63,7 +63,7 @@ def trial_from_obj(obj: dict) -> Trial:
             positions=positions,
             source=obj.get("source"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed trial record: {exc}") from exc
 
 

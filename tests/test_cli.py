@@ -2,6 +2,7 @@
 fast subcommands end to end on a miniature corpus."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import asdict
@@ -202,8 +203,36 @@ def test_calibrate_needs_five_trials(tmp_path, mini_corpus, capsys):
     assert err["error"] == "DataError"
 
 
+def test_rom_table_not_json_is_data_error(tmp_path, mini_corpus, capsys):
+    cfg = ModelConfig.tiny()
+    ckpt = tmp_path / "tiny.bin"
+    save_checkpoint(ckpt, init_parameters(cfg, np.random.default_rng(0)), cfg)
+    rom = tmp_path / "rom.json"
+    rom.write_text("{not json")
+    rc = main(["calibrate", "--corpus", str(mini_corpus),
+               "--checkpoint", str(ckpt), "--rom", str(rom),
+               "--out", str(tmp_path / "floor.json")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError"
+    assert "rom.json" in err["message"]
+
+
+def test_landmarks_not_an_object_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "lists.jsonl"
+    corpus.write_text(json.dumps({"subject_id": "A", "condition": "normative", "fps": 30,
+                                  "frames": [{"t": 0.0, "landmarks": [1, 2]}]}) + "\n")
+    rc = main(["segment", "--corpus", str(corpus), "--out", str(tmp_path / "c.csv")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError"
+    assert "lists.jsonl:1:" in err["message"]
+
+
 def test_console_script_is_wired():
+    # the child imports the package from wherever this process did
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-m", "gaitmae.cli", "--version"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert out.stdout.startswith("gaitmae ")

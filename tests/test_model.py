@@ -399,3 +399,12 @@ def test_checkpoint_trailing_bytes(tiny, tmp_path):
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(DataError, match="trailing"):
         load_checkpoint(p)
+
+
+def test_checkpoint_truncated(tiny, tmp_path):
+    cfg, params, _, _ = tiny
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(p, params, cfg)
+    p.write_bytes(p.read_bytes()[:-10])
+    with pytest.raises(DataError, match="x.ckpt: truncated"):
+        load_checkpoint(p)

@@ -110,6 +110,27 @@ def test_orthonormal_pair_collinear_raises():
         orthonormal_pair(np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]))
 
 
+def test_batched_pairs_match_row_by_row_calls():
+    rng = np.random.default_rng(5)
+    u1, u2, v1, v2 = rng.normal(size=(4, 20, 3))
+    frames = orthonormal_pair(v1, v2)
+    rots = rotation_from_pairs(u1, u2, v1, v2)
+    assert frames.shape == rots.shape == (20, 3, 3)
+    for i in range(20):
+        assert np.allclose(frames[i], orthonormal_pair(v1[i], v2[i]), rtol=0, atol=1e-15)
+        assert np.allclose(rots[i], rotation_from_pairs(u1[i], u2[i], v1[i], v2[i]),
+                           rtol=0, atol=1e-15)
+    # a single reference pair broadcasts against a stack of targets
+    shared = rotation_from_pairs(u1[0], u2[0], v1, v2)
+    assert np.allclose(shared[7], rotation_from_pairs(u1[0], u2[0], v1[7], v2[7]),
+                       rtol=0, atol=1e-15)
+    v2[13] = 3.0 * v1[13]
+    with pytest.raises(ValueError):
+        orthonormal_pair(v1, v2)
+    with pytest.raises(ValueError):
+        rotation_from_pairs(u1, u2, v1, v2)
+
+
 def test_rotation_from_pairs_exact_on_rigid_pairs():
     rng = np.random.default_rng(4)
     for _ in range(50):

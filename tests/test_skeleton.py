@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from gaitmae.errors import DataError, DegenerateFrameError, UnrecoverableLandmarkError
+from gaitmae.rotations import matrix_to_euler, rotation_from_pairs
 from gaitmae.skeleton import (
+    JOINT_PARENT,
     JOINTS,
     JID,
     LANDMARKS,
@@ -13,6 +15,7 @@ from gaitmae.skeleton import (
     N_JOINTS,
     N_LANDMARKS,
     REST_LENGTH,
+    REST_UNIT,
     Trial,
     default_topology,
     estimate_floor,
@@ -378,15 +381,97 @@ def test_extract_tolerates_missing_decoration():
     assert np.abs(pose.angles[JID["r_ankle"]]).max() < 1e-9
 
 
+def _reference_angles(frame):
+    """Per-frame loop over the frame table, one joint at a time: the
+    reference the batched extraction is held to."""
+    def direction(a, b):
+        v = frame[LM[b]] - frame[LM[a]]
+        ok = np.isfinite(v).all() and np.linalg.norm(v) >= 1e-9
+        return v / np.linalg.norm(v) if ok else None
+
+    _, y, z = np.eye(3)
+    f = {"pelvis": rotation_from_pairs(z, y, direction("pelvis", "neck"),
+                                       direction("r_hip", "l_hip"))}
+    f["neck"] = rotation_from_pairs(y, z, direction("r_shoulder", "l_shoulder"),
+                                    f["pelvis"] @ z)
+    for joint, child in (("l_shoulder", "l_elbow"), ("r_shoulder", "r_elbow"),
+                         ("l_elbow", "l_wrist"), ("r_elbow", "r_wrist"),
+                         ("l_hip", "l_knee"), ("r_hip", "r_knee"),
+                         ("l_knee", "l_ankle"), ("r_knee", "r_ankle")):
+        parent = f[JOINT_PARENT[joint]]
+        d = direction(joint, child)
+        f[joint] = parent if d is None else rotation_from_pairs(
+            REST_UNIT[child], y, d, parent @ y)
+    for side in "lr":
+        toe = direction(f"{side}_ankle", f"{side}_toe")
+        heel = direction(f"{side}_ankle", f"{side}_heel")
+        f[f"{side}_ankle"] = f[f"{side}_knee"] if toe is None or heel is None else (
+            rotation_from_pairs(REST_UNIT[f"{side}_toe"], REST_UNIT[f"{side}_heel"],
+                                toe, heel))
+    return np.array([
+        matrix_to_euler((np.eye(3) if JOINT_PARENT[j] is None else f[JOINT_PARENT[j]]).T
+                        @ f[j])
+        for j in JOINTS
+    ])
+
+
+def _pose_stack(n, seed):
+    rng = np.random.default_rng(seed)
+    poses = rng.normal(0.0, 0.3, size=(n, N_JOINTS, 3))
+    return forward_kinematics_landmarks(poses, default_topology())
+
+
 def test_extract_angle_sequence_shapes_and_gimbal():
-    topo = default_topology()
-    rng = np.random.default_rng(16)
-    poses = rng.normal(0.0, 0.3, size=(5, N_JOINTS, 3))
-    frames = forward_kinematics_landmarks(poses, topo)
-    angles, gimbal = extract_angle_sequence(frames, topo)
-    assert angles.shape == (5, N_JOINTS, 3)
-    assert gimbal.shape == (5, N_JOINTS)
+    frames = _pose_stack(9, seed=16)
+    frames[[1, 4, 5], LM["l_wrist"]] = np.nan
+    frames[[2, 5], LM["r_toe"]] = np.nan
+    frames[[6], LM["r_heel"]] = np.nan
+    frames[7, LM["l_heel"]] = frames[7, LM["l_ankle"]]   # zero-length foot
+    angles, gimbal = extract_angle_sequence(frames)
+    assert angles.shape == (9, N_JOINTS, 3)
+    assert gimbal.shape == (9, N_JOINTS)
     assert gimbal.dtype == bool
+    for k, frame in enumerate(frames):
+        pose = extract_angles(frame)
+        assert np.abs(angles[k] - pose.angles).max() < 1e-12
+        assert np.array_equal(gimbal[k], pose.gimbal)
+        assert np.abs(angles[k] - _reference_angles(frame)).max() < 1e-12
+    # each fallback applies only to the frames that lack the decoration
+    assert np.abs(angles[[1, 4, 5], JID["l_elbow"]]).max() < 1e-9
+    assert np.abs(angles[[2, 5, 6], JID["r_ankle"]]).max() < 1e-9
+    assert np.abs(angles[7, JID["l_ankle"]]).max() < 1e-9
+    kept = angles[[0, 3, 8]][:, [JID["l_elbow"], JID["r_ankle"]]]
+    assert np.abs(kept).max(axis=-1).min() > 1e-6
+
+
+def test_extract_angle_sequence_accepts_joint_stacks():
+    topo = default_topology()
+    rng = np.random.default_rng(17)
+    poses = rng.normal(0.0, 0.3, size=(6, N_JOINTS, 3))
+    joints = forward_kinematics(poses, topo)
+    landmarks = np.full((6, N_LANDMARKS, 3), np.nan)
+    landmarks[:, [LM[j] for j in JOINTS]] = joints
+    from_joints, _ = extract_angle_sequence(joints, topo)
+    from_landmarks, _ = extract_angle_sequence(landmarks, topo)
+    assert np.array_equal(from_joints, from_landmarks)
+    for bad in (np.zeros((6, 5, 3)), np.zeros((N_LANDMARKS, 3)), np.zeros((2, 19, 2))):
+        with pytest.raises(DataError):
+            extract_angle_sequence(bad)
+
+
+def test_extract_sequence_names_first_frame_missing_joint():
+    frames = _pose_stack(5, seed=18)
+    frames[3, LM["l_knee"]] = np.nan
+    frames[4, LM["neck"]] = np.nan
+    with pytest.raises(DataError, match=r"frame 3\b.*l_knee"):
+        extract_angle_sequence(frames)
+
+
+def test_extract_sequence_coincident_hips_is_degenerate():
+    frames = _pose_stack(5, seed=19)
+    frames[2, LM["l_hip"]] = frames[2, LM["r_hip"]]
+    with pytest.raises(DegenerateFrameError, match="frame 2"):
+        extract_angle_sequence(frames)
 
 
 def test_fk_joint_subset_orders_rows_like_joints():

@@ -325,8 +325,9 @@ def test_train_config_roundtrip(tmp_path):
     assert tc2 == tc and cc2 == cc
 
 
-def test_train_config_unknown_key(tmp_path):
+@pytest.mark.parametrize("text", ['{"train": {"learning_rate": 1}}', "{not json"])
+def test_train_config_unknown_key_or_not_json(tmp_path, text):
     path = tmp_path / "train.json"
-    path.write_text('{"train": {"learning_rate": 1}}')
+    path.write_text(text)
     with pytest.raises(DataError):
         load_train_config(path)

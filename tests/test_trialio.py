@@ -80,6 +80,10 @@ def test_load_errors_carry_line_numbers(tmp_path):
     p.write_text('{"subject_id": "A"}\n')
     with pytest.raises(DataError, match=":1:"):
         load_trials(p)
+    p.write_text('{"subject_id": "A", "condition": "normative", "fps": 30, '
+                 '"frames": [{"t": 0.0, "landmarks": [1, 2]}]}\n')
+    with pytest.raises(DataError, match="bad.jsonl:1:"):
+        load_trials(p)
     p.write_text("\n\n")
     with pytest.raises(DataError, match="no trials"):
         load_trials(p)
