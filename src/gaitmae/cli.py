@@ -3,8 +3,11 @@
 Subcommands map one-to-one onto the pipeline stages: synthesize a corpus,
 preprocess it into angle streams, train the masked autoencoder, calibrate
 the screening noise floor, detect / correct deviating joints, segment gait
-cycles, and run the statistical evaluation. ``e2e`` chains all of them under
-one seed into a work directory and is byte-deterministic.
+cycles, and run the statistical evaluation. ``e2e`` synthesizes its corpora
+and then runs the same stage code the subcommands run (training, calibration,
+correction, cycle report, evaluation) under one seed into a work directory;
+it is byte-deterministic, and its files are what the subcommands write on
+the same inputs.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric fault. Errors
 are reported as one JSON object on stderr.
@@ -27,11 +30,10 @@ from .errors import DataError, GaitError, UsageError
 from .gaitcycle import write_cycle_report
 from .inference import (
     TOP_K,
+    NoiseFloor,
     RomTable,
     calibrate_noise_floor,
-    compute_badness,
     default_rom_table,
-    detect_and_correct,
     load_noise_floor,
     save_noise_floor,
     select_flagged,
@@ -41,12 +43,13 @@ from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .pipeline import (
     ProcessedTrial,
     analyzed_cycle_curves,
+    correct_trial,
     preprocess_trial,
+    screen_trial,
     segment,
     training_arrays,
-    trial_windows,
 )
-from .skeleton import Trial, forward_kinematics_landmarks
+from .skeleton import JOINTS
 from .stats import (
     ANGLE_LABELS,
     BOOTSTRAP_ITERS,
@@ -96,13 +99,9 @@ def _version() -> str:
 
 @dataclass
 class PipelineConfig:
-    """Everything one run needs: paths, component configs, one seed."""
+    """Everything one run needs: component configs and one seed."""
 
     seed: int = 0
-    corpus: str | None = None
-    checkpoint: str | None = None
-    reports_dir: str | None = None
-    rom_path: str | None = None
     model: ModelConfig = field(default_factory=ModelConfig.desk_scale)
     train: TrainConfig = field(default_factory=TrainConfig)
     curriculum: CurriculumConfig = field(default_factory=CurriculumConfig)
@@ -111,10 +110,6 @@ class PipelineConfig:
     def as_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "corpus": self.corpus,
-            "checkpoint": self.checkpoint,
-            "reports_dir": self.reports_dir,
-            "rom_path": self.rom_path,
             "model": asdict(self.model),
             "train": asdict(self.train),
             "curriculum": asdict(self.curriculum),
@@ -124,19 +119,18 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         try:
+            unknown = sorted(set(doc) - {"seed", "model", "train", "curriculum", "gaitgen"})
+            if unknown:
+                raise DataError(f"unknown pipeline config keys {unknown}")
             return cls(
                 seed=int(doc.get("seed", 0)),
-                corpus=doc.get("corpus"),
-                checkpoint=doc.get("checkpoint"),
-                reports_dir=doc.get("reports_dir"),
-                rom_path=doc.get("rom_path"),
                 model=ModelConfig(**doc.get("model", {})),
                 train=TrainConfig(**doc.get("train", {})),
                 curriculum=CurriculumConfig(**doc.get("curriculum", {})),
                 gaitgen=config_from_dict(doc.get("gaitgen", {})),
             )
-        except TypeError as exc:
-            raise DataError(f"unknown pipeline config key ({exc})") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed pipeline config ({exc})") from None
 
     def config_hash(self) -> str:
         blob = json.dumps(self.as_dict(), sort_keys=True).encode()
@@ -216,14 +210,8 @@ def _rom_for(args) -> RomTable:
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed ROM table {path}: {exc}") from exc
     try:
-        rom = np.zeros((12, 3))
-        w = np.zeros((12, 3))
-        from .skeleton import JID, JOINTS
-
-        for name in JOINTS:
-            rom[JID[name]] = doc[name]["rom"]
-            w[JID[name]] = doc[name]["weights"]
-        return RomTable(rom=rom, weights=w)
+        return RomTable(rom=np.array([doc[name]["rom"] for name in JOINTS], dtype=float),
+                        weights=np.array([doc[name]["weights"] for name in JOINTS], dtype=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed ROM table {path}: {exc}") from exc
 
@@ -232,15 +220,7 @@ def _trial_tag(trial, index: int) -> str:
     return f"{trial.subject_id}-{trial.condition}-{index:03d}"
 
 
-def _model_preset(name: str) -> ModelConfig:
-    presets = {
-        "desk": ModelConfig.desk_scale,
-        "paper": ModelConfig,
-        "tiny": ModelConfig.tiny,
-    }
-    if name not in presets:
-        raise UsageError(f"unknown model scale {name!r}; choose from {sorted(presets)}")
-    return presets[name]()
+_MODEL_PRESETS = {"desk": ModelConfig.desk_scale, "paper": ModelConfig, "tiny": ModelConfig.tiny}
 
 
 def _preprocess_corpus(trials) -> list[ProcessedTrial]:
@@ -252,15 +232,125 @@ def _preprocess_corpus(trials) -> list[ProcessedTrial]:
     return out
 
 
-def _normative_band(processed, k: float):
-    curves = [
-        analyzed_cycle_curves(p.angles, segment(p))
-        for p in processed
-        if p.condition == "normative"
-    ]
+# =============================================================================
+# Stages: each is run by its subcommand and by e2e
+# =============================================================================
+
+
+def _train_checkpoint(processed, model_cfg, train_cfg, curriculum, seed, *, stride,
+                      checkpoint, loss_csv, train_config, prov):
+    """Train on the trials' windows and write the checkpoint with its sidecar,
+    plus the loss history and training config where paths are given.
+    Returns the TrainResult and the number of training windows."""
+    feats, vels = training_arrays(processed, stride=stride)
+    log.info("training on %d windows from %d trials (%d epochs)",
+             feats.shape[0], len(processed), train_cfg.epochs)
+    t0 = time.monotonic()
+
+    def progress(epoch, breakdown):
+        log.info("epoch %d: total %.5f (%.1f s elapsed)",
+                 epoch, breakdown.total, time.monotonic() - t0)
+
+    result = train(feats, vels, model_cfg, train_cfg, curriculum, seed=seed, progress=progress)
+    save_checkpoint(checkpoint, result.params, result.config)
+    _sidecar(checkpoint, prov)
+    if loss_csv:
+        write_loss_history(loss_csv, result.history, provenance=prov)
+    if train_config:
+        save_train_config(train_config, train_cfg, curriculum)
+    log.info("checkpoint written to %s", checkpoint)
+    return result, feats.shape[0]
+
+
+def _calibrate(trials, params, model_cfg, rom, stride, out, prov) -> NoiseFloor:
+    """Noise floor from screening clean trials, written to ``out``."""
+    series = []
+    for i, trial in enumerate(trials):
+        series.append(screen_trial(trial, params, model_cfg, rom, stride))
+        log.info("screened %s (%d/%d)", _trial_tag(trial, i), i + 1, len(trials))
+    floor = calibrate_noise_floor(series)
+    save_noise_floor(out, floor)
+    _stamp_json(out, prov)
+    log.info("noise floor from %d trials -> %s: %s", floor.n_trials, out,
+             np.round(floor.taus, 4).tolist())
+    return floor
+
+
+def _correct_corpus(trials, params, model_cfg, floor, rom, *, k, stride, out,
+                    report_dir, report_prefix, prov):
+    """Correct every trial and write the twins to ``out``; with a
+    ``report_dir``, also each trial's badness report. Returns
+    ``correct_trial``'s (processed original, CorrectionResult, twin) per trial."""
+    done = []
+    for i, trial in enumerate(trials):
+        p, res, twin = correct_trial(trial, params, model_cfg, floor,
+                                     k=k, rom=rom, detect_stride=stride)
+        tag = _trial_tag(trial, i)
+        if report_dir:
+            path = Path(report_dir) / f"{report_prefix}{tag}.badness.json"
+            write_badness_report(path, res.badness, floor, res.flagged)
+            _stamp_json(path, prov)
+        log.info("corrected %s%s: flags %s (%d/%d)", report_prefix, tag,
+                 [n for n, _ in res.flagged] or "none", i + 1, len(trials))
+        done.append((p, res, twin))
+    save_trials(out, [twin for _p, _res, twin in done])
+    _sidecar(out, prov)
+    return done
+
+
+def _cycle_report(processed, out, prov) -> None:
+    entries = [(_trial_tag(p, i), segment(p), p.fps) for i, p in enumerate(processed)]
+    write_cycle_report(out, entries)
+    _stamp_csv(out, prov)
+    log.info("cycle report for %d trials -> %s", len(processed), out)
+
+
+def _curve_sets(originals, corrected) -> list[CurveSet]:
+    """Cycle curves of (original, corrected) pairs, both cut at the original
+    trial's detected cycle boundaries."""
+    if len(originals) != len(corrected):
+        raise DataError(
+            f"pairing mismatch: {len(originals)} originals vs {len(corrected)} corrected"
+        )
+    sets = []
+    for po, pc in zip(originals, corrected):
+        if (po.subject_id, po.condition) != (pc.subject_id, pc.condition):
+            raise DataError(
+                f"pair mismatch: {po.subject_id}/{po.condition} vs "
+                f"{pc.subject_id}/{pc.condition}"
+            )
+        if po.n_frames != pc.n_frames:
+            raise DataError(f"frame count mismatch for {po.subject_id}")
+        bounds = segment(po)
+        sets.append(CurveSet(
+            participant=po.subject_id,
+            condition=po.condition,
+            original=analyzed_cycle_curves(po.angles, bounds),
+            reconstructed=analyzed_cycle_curves(pc.angles, bounds),
+        ))
+    return sets
+
+
+def _evaluate(normative, originals, corrected, *, band_k, delta, iters, seed,
+              rmse_csv, stats_json, band_csv, prov):
+    """Band from the normative trials, paired curve sets, statistics, and
+    their reports (the band CSV where a path is given)."""
+    curves = [analyzed_cycle_curves(p.angles, segment(p))
+              for p in normative if p.condition == "normative"]
     if not curves:
         raise DataError("no normative trials to build the band from")
-    return build_band(np.concatenate(curves, axis=0), k=k, labels=ANGLE_LABELS)
+    band = build_band(np.concatenate(curves, axis=0), k=band_k, labels=ANGLE_LABELS)
+    sets = _curve_sets(originals, corrected)
+    report = evaluate(sets, band, delta=delta, iters=iters, seed=seed)
+    write_rmse_csv(rmse_csv, report.records)
+    _stamp_csv(rmse_csv, prov)
+    write_stats_json(stats_json, report)
+    _stamp_json(stats_json, prov)
+    if band_csv:
+        write_band_csv(band_csv, band)
+        _stamp_csv(band_csv, prov)
+    log.info("evaluation over %d trial pairs -> %s", len(sets), stats_json)
+    return report
 
 
 # =============================================================================
@@ -340,52 +430,21 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config_for(args)
     _require_files(args.corpus)
-    model_cfg = _model_preset(args.scale) if args.scale else cfg.model
-    train_cfg = cfg.train
-    if args.epochs is not None:
-        train_cfg = TrainConfig(**{**asdict(train_cfg), "epochs": args.epochs})
-    if args.batch_size is not None:
-        train_cfg = TrainConfig(**{**asdict(train_cfg), "batch_size": args.batch_size})
-    if args.lr is not None:
-        train_cfg = TrainConfig(**{**asdict(train_cfg), "lr": args.lr})
+    model_cfg = _MODEL_PRESETS[args.scale]() if args.scale else cfg.model
+    overrides = {k: getattr(args, k) for k in ("epochs", "batch_size", "lr")
+                 if getattr(args, k) is not None}
+    train_cfg = TrainConfig(**{**asdict(cfg.train), **overrides})
 
     trials = [t for t in load_trials(args.corpus) if t.condition == "normative"]
     if not trials:
         raise DataError("training corpus contains no normative trials")
-    processed = _preprocess_corpus(trials)
-    feats, vels = training_arrays(processed, stride=args.stride)
-    log.info("training on %d windows from %d trials (%d epochs)",
-             feats.shape[0], len(trials), train_cfg.epochs)
-
-    t0 = time.monotonic()
-
-    def progress(epoch, breakdown):
-        log.info("epoch %d: total %.5f (%.1f s elapsed)",
-                 epoch, breakdown.total, time.monotonic() - t0)
-
-    result = train(feats, vels, model_cfg, train_cfg, cfg.curriculum,
-                   seed=cfg.seed, progress=progress)
-    save_checkpoint(args.checkpoint, result.params, result.config)
     prov = _provenance(cfg.config_hash(), cfg.seed)
-    _sidecar(args.checkpoint, prov)
-    if args.loss_csv:
-        write_loss_history(args.loss_csv, result.history, provenance=prov)
+    _train_checkpoint(_preprocess_corpus(trials), model_cfg, train_cfg, cfg.curriculum,
+                      cfg.seed, stride=args.stride, checkpoint=args.checkpoint,
+                      loss_csv=args.loss_csv, train_config=args.train_config, prov=prov)
     if args.train_config:
-        save_train_config(args.train_config, train_cfg, cfg.curriculum)
         _stamp_json(args.train_config, prov)
-    log.info("checkpoint written to %s", args.checkpoint)
     return 0
-
-
-def _screen_corpus(args, trials, params, model_cfg, rom):
-    """Badness series for every trial at the requested screening stride."""
-    out = []
-    for i, trial in enumerate(trials):
-        p = preprocess_trial(trial)
-        wins = trial_windows(p)[:: args.stride]
-        out.append((trial, p, compute_badness(params, model_cfg, wins, p.topo, rom)))
-        log.info("screened %s (%d/%d)", _trial_tag(trial, i), i + 1, len(trials))
-    return out
 
 
 def cmd_calibrate(args) -> int:
@@ -394,11 +453,8 @@ def cmd_calibrate(args) -> int:
     params, model_cfg = load_checkpoint(args.checkpoint)
     rom = _rom_for(args)
     trials = [t for t in load_trials(args.corpus) if t.condition == "normative"]
-    screened = _screen_corpus(args, trials, params, model_cfg, rom)
-    floor = calibrate_noise_floor([b for _, _, b in screened])
-    save_noise_floor(args.out, floor)
-    _stamp_json(args.out, _provenance(cfg.config_hash(), cfg.seed))
-    log.info("noise floor from %d trials -> %s", floor.n_trials, args.out)
+    _calibrate(trials, params, model_cfg, rom, args.stride, args.out,
+               _provenance(cfg.config_hash(), cfg.seed))
     return 0
 
 
@@ -414,11 +470,11 @@ def cmd_detect(args) -> int:
 
     trials = load_trials(args.corpus)
     summary = []
-    for i, (trial, _p, badness) in enumerate(
-        _screen_corpus(args, trials, params, model_cfg, rom)
-    ):
+    for i, trial in enumerate(trials):
+        badness = screen_trial(trial, params, model_cfg, rom, args.stride)
         flagged = select_flagged(badness, floor, k=args.k_top)
         tag = _trial_tag(trial, i)
+        log.info("screened %s (%d/%d)", tag, i + 1, len(trials))
         path = report_dir / f"{tag}.badness.json"
         write_badness_report(path, badness, floor, flagged)
         _stamp_json(path, prov)
@@ -440,112 +496,38 @@ def cmd_correct(args) -> int:
     params, model_cfg = load_checkpoint(args.checkpoint)
     floor = load_noise_floor(args.noise_floor)
     rom = _rom_for(args)
-    prov = _provenance(cfg.config_hash(), cfg.seed)
-    angles_dir = Path(args.angles_dir) if args.angles_dir else None
-    if angles_dir:
-        angles_dir.mkdir(parents=True, exist_ok=True)
-    report_dir = Path(args.report_dir) if args.report_dir else None
-    if report_dir:
-        report_dir.mkdir(parents=True, exist_ok=True)
-
-    trials = load_trials(args.corpus)
-    corrected_trials = []
-    for i, trial in enumerate(trials):
-        p = preprocess_trial(trial)
-        res = detect_and_correct(p.angles, params, model_cfg, p.topo, floor,
-                                 k=args.k_top, rom=rom, detect_stride=args.stride)
-        tag = _trial_tag(trial, i)
-        landmarks = forward_kinematics_landmarks(res.corrected, p.topo)
-        corrected_trials.append(Trial(
-            subject_id=trial.subject_id,
-            condition=trial.condition,
-            fps=trial.fps,
-            times=trial.times.copy(),
-            positions=landmarks,
-            source={
-                "corrected_from": trial.condition,
-                "flagged": [[name, score] for name, score in res.flagged],
-            },
-        ))
-        if angles_dir:
-            write_angle_csv(angles_dir / f"{tag}.corrected.csv", res.corrected)
-            write_angle_csv(angles_dir / f"{tag}.original.csv", res.original)
-        if report_dir:
-            path = report_dir / f"{tag}.badness.json"
-            write_badness_report(path, res.badness, floor, res.flagged)
-            _stamp_json(path, prov)
-        log.info("corrected %s: flags %s (%d/%d)", tag,
-                 [n for n, _ in res.flagged] or "none", i + 1, len(trials))
-    save_trials(args.out, corrected_trials)
-    _sidecar(args.out, prov)
+    for d in (args.angles_dir, args.report_dir):
+        if d:
+            Path(d).mkdir(parents=True, exist_ok=True)
+    done = _correct_corpus(load_trials(args.corpus), params, model_cfg, floor, rom,
+                           k=args.k_top, stride=args.stride, out=args.out,
+                           report_dir=args.report_dir, report_prefix="",
+                           prov=_provenance(cfg.config_hash(), cfg.seed))
+    if args.angles_dir:
+        for i, (p, res, _twin) in enumerate(done):
+            tag = _trial_tag(p, i)
+            write_angle_csv(Path(args.angles_dir) / f"{tag}.corrected.csv", res.corrected)
+            write_angle_csv(Path(args.angles_dir) / f"{tag}.original.csv", res.original)
     return 0
 
 
 def cmd_segment(args) -> int:
     cfg = _config_for(args)
     _require_files(args.corpus)
-    trials = load_trials(args.corpus)
-    entries = []
-    for i, trial in enumerate(trials):
-        p = preprocess_trial(trial)
-        entries.append((_trial_tag(trial, i), segment(p), trial.fps))
-    write_cycle_report(args.out, entries)
-    _stamp_csv(args.out, _provenance(cfg.config_hash(), cfg.seed))
-    log.info("cycle report for %d trials -> %s", len(trials), args.out)
+    _cycle_report(_preprocess_corpus(load_trials(args.corpus)), args.out,
+                  _provenance(cfg.config_hash(), cfg.seed))
     return 0
-
-
-def _curve_sets_from_processed(pairs):
-    """Cycle curves for (original, corrected) ProcessedTrial pairs, cut at the
-    original trial's detected cycle boundaries."""
-    sets = []
-    for po, pc in pairs:
-        if po.n_frames != pc.n_frames:
-            raise DataError(f"frame count mismatch for {po.subject_id}")
-        bounds = segment(po)
-        sets.append(CurveSet(
-            participant=po.subject_id,
-            condition=po.condition,
-            original=analyzed_cycle_curves(po.angles, bounds),
-            reconstructed=analyzed_cycle_curves(pc.angles, bounds),
-        ))
-    return sets
-
-
-def _paired_curve_sets(originals, corrected):
-    """File-level pairing: preprocess both trial lists and build curve sets."""
-    if len(originals) != len(corrected):
-        raise DataError(
-            f"pairing mismatch: {len(originals)} originals vs {len(corrected)} corrected"
-        )
-    pairs = []
-    for orig, corr in zip(originals, corrected):
-        if (orig.subject_id, orig.condition) != (corr.subject_id, corr.condition):
-            raise DataError(
-                f"pair mismatch: {orig.subject_id}/{orig.condition} vs "
-                f"{corr.subject_id}/{corr.condition}"
-            )
-        pairs.append((preprocess_trial(orig), preprocess_trial(corr)))
-    return _curve_sets_from_processed(pairs)
 
 
 def cmd_evaluate(args) -> int:
     cfg = _config_for(args)
     _require_files(args.normative, args.originals, args.corrected)
-    prov = _provenance(cfg.config_hash(), cfg.seed)
-    band = _normative_band(_preprocess_corpus(load_trials(args.normative)),
-                           k=args.band_k)
-    sets = _paired_curve_sets(load_trials(args.originals), load_trials(args.corrected))
-    report = evaluate(sets, band, delta=args.delta_deg, iters=args.iters,
-                      seed=cfg.seed)
-    write_rmse_csv(args.rmse_csv, report.records)
-    _stamp_csv(args.rmse_csv, prov)
-    write_stats_json(args.stats_json, report)
-    _stamp_json(args.stats_json, prov)
-    if args.band_csv:
-        write_band_csv(args.band_csv, band)
-        _stamp_csv(args.band_csv, prov)
-    log.info("evaluation over %d trial pairs -> %s", len(sets), args.stats_json)
+    _evaluate(_preprocess_corpus(load_trials(args.normative)),
+              _preprocess_corpus(load_trials(args.originals)),
+              _preprocess_corpus(load_trials(args.corrected)),
+              band_k=args.band_k, delta=args.delta_deg, iters=args.iters, seed=cfg.seed,
+              rmse_csv=args.rmse_csv, stats_json=args.stats_json, band_csv=args.band_csv,
+              prov=_provenance(cfg.config_hash(), cfg.seed))
     return 0
 
 
@@ -555,8 +537,9 @@ def cmd_evaluate(args) -> int:
 
 
 def run_e2e(args) -> dict:
-    """Synthesize, train, calibrate, screen, correct, and evaluate under one
-    seed. Returns the summary dict (also written to <workdir>/summary.json)."""
+    """Synthesize the corpora, then run the subcommands' own stages on them
+    under one seed: train, calibrate, correct, segment, evaluate. Returns the
+    summary dict (also written to <workdir>/summary.json)."""
     cfg = _config_for(args)
     seed = cfg.seed
     work = Path(args.workdir)
@@ -593,8 +576,6 @@ def run_e2e(args) -> dict:
              len(anomaly_trials))
 
     # --- train
-    processed_train = _preprocess_corpus(train_trials)
-    feats, vels = training_arrays(processed_train, stride=args.stride)
     train_cfg = TrainConfig(**{**asdict(cfg.train), "epochs": args.epochs,
                                "batch_size": args.batch_size, "lr": args.lr})
     # Short runs still need a fully-structured-masking phase at the end, since
@@ -603,114 +584,51 @@ def run_e2e(args) -> dict:
     if curriculum.transition_epochs > max(1, args.epochs // 3):
         curriculum = CurriculumConfig(**{
             **asdict(curriculum), "transition_epochs": max(1, args.epochs // 3)})
-    log.info("training: %d windows, %d epochs", feats.shape[0], train_cfg.epochs)
-    t0 = time.monotonic()
+    processed_train = _preprocess_corpus(train_trials)
+    model_dir = work / "model"
+    result, n_windows = _train_checkpoint(
+        processed_train, cfg.model, train_cfg, curriculum, seed, stride=args.stride,
+        checkpoint=model_dir / "checkpoint.bin", loss_csv=model_dir / "loss.csv",
+        train_config=model_dir / "train_config.json", prov=prov)
 
-    def progress(epoch, breakdown):
-        log.info("epoch %d: total %.5f (%.1f s)", epoch, breakdown.total,
-                 time.monotonic() - t0)
-
-    result = train(feats, vels, cfg.model, train_cfg, curriculum,
-                   seed=seed, progress=progress)
-    ckpt = work / "model" / "checkpoint.bin"
-    save_checkpoint(ckpt, result.params, result.config)
-    _sidecar(ckpt, prov)
-    write_loss_history(work / "model" / "loss.csv", result.history, provenance=prov)
-    save_train_config(work / "model" / "train_config.json", train_cfg, curriculum)
-    log.info("training done in %.1f s", time.monotonic() - t0)
-
+    # --- calibrate, then screen + correct held-out normative and anomaly trials
     rom = _rom_for(args)
     params, model_cfg = result.params, result.config
-
-    def screen(trial):
-        p = preprocess_trial(trial)
-        wins = trial_windows(p)[:: args.detect_stride]
-        return p, compute_badness(params, model_cfg, wins, p.topo, rom)
-
-    # --- calibrate
-    floor = calibrate_noise_floor([screen(t)[1] for t in calib_trials])
-    save_noise_floor(work / "model" / "noise_floor.json", floor)
-    _stamp_json(work / "model" / "noise_floor.json", prov)
-    log.info("noise floor: %s", np.round(floor.taus, 4).tolist())
-
-    # --- screen + correct held-out normative and anomaly trials. Each trial
-    # is preprocessed once; the evaluated corrected angles are the re-extracted
-    # angles of the FK'd corrected landmarks (the same stream the JSONL holds).
-    def correct_all(trials, label):
-        corrected = []
-        records = []
-        pairs = []
-        for i, trial in enumerate(trials):
-            p = preprocess_trial(trial)
-            res = detect_and_correct(p.angles, params, model_cfg, p.topo, floor,
-                                     k=args.k_top, rom=rom,
-                                     detect_stride=args.detect_stride)
-            tag = _trial_tag(trial, i)
-            rpt = work / "reports" / f"{label}-{tag}.badness.json"
-            write_badness_report(rpt, res.badness, floor, res.flagged)
-            _stamp_json(rpt, prov)
-            out_trial = Trial(
-                subject_id=trial.subject_id,
-                condition=trial.condition,
-                fps=trial.fps,
-                times=trial.times.copy(),
-                positions=forward_kinematics_landmarks(res.corrected, p.topo),
-                source={
-                    "corrected_from": trial.condition,
-                    "flagged": [[n, s] for n, s in res.flagged],
-                },
-            )
-            corrected.append(out_trial)
-            pairs.append((p, preprocess_trial(out_trial)))
-            records.append({
-                "trial": tag,
-                "condition": trial.condition,
-                "primary": (trial.source or {}).get("anomaly", {}).get("primary_joint"),
-                "flagged": [n for n, _ in res.flagged],
-            })
-            log.info("%s %s: flags %s (%d/%d)", label, tag,
-                     [n for n, _ in res.flagged] or "none", i + 1, len(trials))
-        path = work / "corpus" / f"{label}_corrected.jsonl"
-        save_trials(path, corrected)
-        _sidecar(path, prov)
-        return pairs, records
-
-    holdout_pairs, holdout_rec = correct_all(holdout_trials, "holdout")
-    anomaly_pairs, anomaly_rec = correct_all(anomaly_trials, "anomaly")
+    floor = _calibrate(calib_trials, params, model_cfg, rom, args.detect_stride,
+                       model_dir / "noise_floor.json", prov)
+    holdout, anomaly = [
+        _correct_corpus(trials, params, model_cfg, floor, rom, k=args.k_top,
+                        stride=args.detect_stride,
+                        out=work / "corpus" / f"{label}_corrected.jsonl",
+                        report_dir=work / "reports", report_prefix=f"{label}-", prov=prov)
+        for label, trials in (("holdout", holdout_trials), ("anomaly", anomaly_trials))
+    ]
 
     # --- localization bookkeeping
     loc = {}
     for kind in ANOMALY_KINDS:
-        rows = [r for r in anomaly_rec if r["condition"] == kind]
+        rows = [(p, res) for p, res, _twin in anomaly if p.condition == kind]
         target = "pelvis" if kind in ("TE", "TF", "TL", "GG") else None
         hits = sum(
-            1 for r in rows if (target or r["primary"]) in r["flagged"]
+            1 for p, res in rows
+            if (target or p.source["anomaly"]["primary_joint"])
+            in [n for n, _ in res.flagged]
         )
         loc[kind] = {"trials": len(rows), "hits": hits,
                      "rate": hits / len(rows) if rows else None}
-    normative_flagged = sum(1 for r in holdout_rec if r["flagged"])
+    normative_flagged = sum(1 for _p, res, _twin in holdout if res.flagged)
 
-    # --- cycles report over everything evaluated
-    entries = [
-        (_trial_tag(trial, i), segment(po), trial.fps)
-        for i, (trial, (po, _)) in enumerate(
-            zip(holdout_trials + anomaly_trials, holdout_pairs + anomaly_pairs))
-    ]
-    write_cycle_report(work / "eval" / "cycles.csv", entries)
-    _stamp_csv(work / "eval" / "cycles.csv", prov)
-
-    # --- statistics
-    band = _normative_band(processed_train, k=args.band_k)
-    norm_sets = _curve_sets_from_processed(holdout_pairs)
-    anom_sets = _curve_sets_from_processed(anomaly_pairs)
-    report = evaluate(norm_sets + anom_sets, band, delta=args.delta_deg,
-                      iters=args.iters, seed=seed)
-    write_rmse_csv(work / "eval" / "rmse.csv", report.records)
-    _stamp_csv(work / "eval" / "rmse.csv", prov)
-    write_stats_json(work / "eval" / "stats.json", report)
-    _stamp_json(work / "eval" / "stats.json", prov)
-    write_band_csv(work / "eval" / "band.csv", band)
-    _stamp_csv(work / "eval" / "band.csv", prov)
+    # --- cycles report and statistics over everything corrected; the twins
+    # are evaluated on the angles re-extracted from their landmarks, the same
+    # stream their JSONL holds
+    originals = [p for p, _res, _twin in holdout + anomaly]
+    _cycle_report(originals, work / "eval" / "cycles.csv", prov)
+    report = _evaluate(
+        processed_train, originals,
+        [preprocess_trial(twin) for _p, _res, twin in holdout + anomaly],
+        band_k=args.band_k, delta=args.delta_deg, iters=args.iters, seed=seed,
+        rmse_csv=work / "eval" / "rmse.csv", stats_json=work / "eval" / "stats.json",
+        band_csv=work / "eval" / "band.csv", prov=prov)
 
     summary = {
         "_provenance": prov,
@@ -723,7 +641,7 @@ def run_e2e(args) -> dict:
             "anomaly_trials": len(anomaly_trials),
         },
         "training": {
-            "windows": int(feats.shape[0]),
+            "windows": int(n_windows),
             "epochs": train_cfg.epochs,
             "final_loss": float(result.history[-1].total),
         },
@@ -737,7 +655,7 @@ def run_e2e(args) -> dict:
                 for label, e in report.equivalence.items()
             },
             "normative_trials_flagged": normative_flagged,
-            "normative_flag_rate": normative_flagged / len(holdout_rec),
+            "normative_flag_rate": normative_flagged / len(holdout),
         },
         "localization": loc,
         "sensitivity": [
@@ -814,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--loss-csv")
     p.add_argument("--train-config")
-    p.add_argument("--scale", choices=("desk", "paper", "tiny"))
+    p.add_argument("--scale", choices=sorted(_MODEL_PRESETS))
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)

@@ -8,6 +8,11 @@ where r1, r2 are the first two columns of the joint's rotation matrix (the
 6D rotation representation, recovered by Gram-Schmidt on decode). Motion is
 carried separately as per-axis wrapped angular velocity (rad/frame), zero at
 the window start.
+
+``make_windows`` cuts a whole trial into one ``TokenWindows``: features
+(W, 12, 7, 12), velocities (W, 12, 7, 3) and window starts (W,), window
+axis first, then joint, then frame. Every consumer slices these arrays;
+there is no per-window object.
 """
 
 from __future__ import annotations
@@ -27,18 +32,25 @@ SINCOS_SLICE = slice(0, 6)
 
 
 @dataclass
-class TokenWindow:
-    """One model input: a (12, 7) grid of token features plus velocities."""
+class TokenWindows:
+    """Model inputs cut from one trial: W windows of (12, 7) token grids.
 
-    features: np.ndarray    # (J, T, 12)
-    velocities: np.ndarray  # (J, T, 3)
-    start: int = 0          # index of the window's first frame in the trial
+    ``features`` is (W, 12, 7, 12) and ``velocities`` (W, 12, 7, 3), joint
+    axis before frame axis; ``starts`` (W,) holds the trial frame of each
+    window's first frame. Indexing and slicing act on all three arrays at
+    once, so ``windows[::3]`` keeps every third window and ``windows[w]`` is
+    one window, (12, 7, 12) / (12, 7, 3) with a scalar start.
+    """
 
-    def __post_init__(self):
-        if self.features.shape[-2:] != (WINDOW_LEN, FEAT_DIM) or self.features.shape[0] != N_JOINTS:
-            raise DataError(f"window features must be (12, 7, 12), got {self.features.shape}")
-        if self.velocities.shape != (N_JOINTS, WINDOW_LEN, VEL_DIM):
-            raise DataError(f"window velocities must be (12, 7, 3), got {self.velocities.shape}")
+    features: np.ndarray
+    velocities: np.ndarray
+    starts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index) -> "TokenWindows":
+        return TokenWindows(self.features[index], self.velocities[index], self.starts[index])
 
 
 def encode_features(angles: np.ndarray) -> np.ndarray:
@@ -51,11 +63,6 @@ def encode_features(angles: np.ndarray) -> np.ndarray:
     r1 = rot[..., :, 0]
     r2 = rot[..., :, 1]
     return np.concatenate([sc, r1, r2], axis=-1)
-
-
-def encode_feature(angles: np.ndarray) -> np.ndarray:
-    """Single-joint angles (3,) -> features (12,)."""
-    return encode_features(np.asarray(angles, dtype=float).reshape(3))
 
 
 def decode_features(features: np.ndarray, tol: float = 1e-6):
@@ -95,20 +102,15 @@ def decode_features(features: np.ndarray, tol: float = 1e-6):
     return angles, bad
 
 
-def decode_feature(features: np.ndarray) -> np.ndarray:
-    """Single token (12,) -> angles (3,)."""
-    angles, _ = decode_features(np.asarray(features, dtype=float).reshape(FEAT_DIM))
-    return angles
-
-
 def window_velocities(window_angles: np.ndarray) -> np.ndarray:
-    """Wrapped backward differences per axis (J, T, 3); zero at frame 0."""
+    """Wrapped backward differences along the frame axis (..., T, 3); zero
+    at each window's frame 0."""
     v = np.zeros_like(window_angles)
-    v[:, 1:] = wrap_angle(window_angles[:, 1:] - window_angles[:, :-1])
+    v[..., 1:, :] = wrap_angle(window_angles[..., 1:, :] - window_angles[..., :-1, :])
     return v
 
 
-def make_windows(angle_seq: np.ndarray, stride: int = 1) -> list[TokenWindow]:
+def make_windows(angle_seq: np.ndarray, stride: int = 1) -> TokenWindows:
     """Slice a (N, 12, 3) angle sequence into 7-frame token windows.
 
     Windows overlap with the given stride (default 1). Velocities are
@@ -116,39 +118,11 @@ def make_windows(angle_seq: np.ndarray, stride: int = 1) -> list[TokenWindow]:
     velocity regardless of trial context.
     """
     angle_seq = np.asarray(angle_seq, dtype=float)
-    n = angle_seq.shape[0]
-    if n < WINDOW_LEN:
-        raise DataError(f"trial too short to window: {n} < {WINDOW_LEN} frames")
-    feats = encode_features(angle_seq)  # (N, 12, 12)
-    windows = []
-    for k in range(0, n - WINDOW_LEN + 1, stride):
-        w = angle_seq[k : k + WINDOW_LEN]               # (7, 12, 3)
-        wa = np.transpose(w, (1, 0, 2))                 # (12, 7, 3)
-        wf = np.transpose(feats[k : k + WINDOW_LEN], (1, 0, 2))
-        windows.append(TokenWindow(features=wf, velocities=window_velocities(wa), start=k))
-    return windows
-
-
-def stack_windows(windows: list[TokenWindow]):
-    """Stack windows into (B, 12, 7, 12) features and (B, 12, 7, 3) velocities."""
-    feats = np.stack([w.features for w in windows]).astype(np.float32)
-    vels = np.stack([w.velocities for w in windows]).astype(np.float32)
-    return feats, vels
-
-
-def dump_windows_csv(path, windows: list[TokenWindow]):
-    """Debug dump: one row per (window, joint, frame) with all 15 channels."""
-    from .skeleton import JOINTS
-
-    with open(path, "w") as fh:
-        cols = [f"f{i}" for i in range(FEAT_DIM)] + [f"v{i}" for i in range(VEL_DIM)]
-        fh.write("window,start,joint,frame," + ",".join(cols) + "\n")
-        for wi, w in enumerate(windows):
-            for j in range(N_JOINTS):
-                for t in range(WINDOW_LEN):
-                    row = np.concatenate([w.features[j, t], w.velocities[j, t]])
-                    fh.write(
-                        f"{wi},{w.start},{JOINTS[j]},{t},"
-                        + ",".join(f"{x:.9g}" for x in row)
-                        + "\n"
-                    )
+    if angle_seq.shape[1:] != (N_JOINTS, 3) or len(angle_seq) < WINDOW_LEN:
+        raise DataError(f"need (N >= {WINDOW_LEN}, 12, 3) angles to window, got {angle_seq.shape}")
+    starts = np.arange(0, len(angle_seq) - WINDOW_LEN + 1, stride)
+    frames = starts[:, None] + np.arange(WINDOW_LEN)      # (W, 7)
+    # (W, 7, 12, c) -> (W, 12, 7, c): joint axis before frame axis
+    angles = np.ascontiguousarray(angle_seq[frames].transpose(0, 2, 1, 3))
+    feats = np.ascontiguousarray(encode_features(angle_seq)[frames].transpose(0, 2, 1, 3))
+    return TokenWindows(features=feats, velocities=window_velocities(angles), starts=starts)

@@ -22,7 +22,6 @@ from scipy.signal import find_peaks
 
 from .errors import DataError
 from .rotations import wrap_angle
-from .skeleton import LM, Trial
 
 SMOOTH_WINDOW = 7
 SMOOTH_ORDER = 2
@@ -169,11 +168,6 @@ def detect_cycles(heel_z: np.ndarray, fps: float) -> CycleBoundaries:
     peaks = peaks + a
     cycles = [(int(s), int(e)) for s, e in zip(peaks[:-1], peaks[1:])]
     return CycleBoundaries(cycles=cycles, active=(a, b))
-
-
-def segment_trial(trial: Trial) -> CycleBoundaries:
-    """Detect cycles on a trial's left-heel height (fps from the trial)."""
-    return detect_cycles(trial.positions[:, LM["l_heel"], 2], trial.fps)
 
 
 # =============================================================================

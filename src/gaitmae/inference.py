@@ -2,6 +2,9 @@
 
 Screening replicates each 7-frame window once per probed joint, masks that
 joint's tokens everywhere, and asks the trained autoencoder to fill the gap.
+``build_tiles`` does this for a whole chunk of windows at once, window-major:
+window w's unmasked baseline, then its six masked tiles in ``TILED_JOINTS``
+order, then window w+1's.
 Where the gap-fill and the unmasked baseline reconstruction disagree — bone
 direction swung away, range-of-motion budget consumed — the joint earns a
 per-frame badness score. Scores are smoothed, peak-summarized per trial, and
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateFrameError
-from .features import FEAT_DIM, WINDOW_LEN, TokenWindow, decode_features, make_windows
+from .features import FEAT_DIM, WINDOW_LEN, TokenWindows, decode_features, make_windows
 from .model import ModelConfig, reconstruct
 from .rotations import wrap_angle
 from .skeleton import JID, N_JOINTS, SkeletonTopology, forward_kinematics
@@ -73,11 +76,6 @@ class RomTable:
             raise DataError("ROM weights must be nonnegative and sum to 1 per joint")
         object.__setattr__(self, "rom", rom)
         object.__setattr__(self, "weights", w)
-
-    def row(self, joint: str):
-        """(rom, weights) for one joint, each shaped (3,)."""
-        j = JID[joint]
-        return self.rom[j], self.weights[j]
 
 
 def default_rom_table() -> RomTable:
@@ -179,19 +177,23 @@ class CorrectionResult:
 # =============================================================================
 
 
-def build_tiles(window: TokenWindow):
-    """Replicate one window into the 7-tile probe batch.
+# Tile 0 is the unmasked baseline; tile i+1 masks every frame of TILED_JOINTS[i].
+TILE_MASKS = np.zeros((N_TILES, N_JOINTS, WINDOW_LEN), dtype=bool)
+TILE_MASKS[np.arange(1, N_TILES), [JID[j] for j in TILED_JOINTS]] = True
+TILE_MASKS.setflags(write=False)
 
-    Returns ``(feats, vels, masks)`` shaped (7, 12, 7, 12) / (7, 12, 7, 3) /
-    (7, 12, 7). Tile 0 is the unmasked baseline; tile i+1 masks every frame
-    of ``TILED_JOINTS[i]``.
+
+def build_tiles(windows: TokenWindows):
+    """Replicate windows into the 7-tile probe batch, window-major.
+
+    For W windows returns ``(feats, vels, masks)`` shaped (7W, 12, 7, 12) /
+    (7W, 12, 7, 3) / (7W, 12, 7): rows 7w..7w+6 are window w's tiles, in
+    ``TILE_MASKS`` order. One window (``windows[w]``) gives W = 1.
     """
-    feats = np.broadcast_to(window.features, (N_TILES,) + window.features.shape).copy()
-    vels = np.broadcast_to(window.velocities, (N_TILES,) + window.velocities.shape).copy()
-    masks = np.zeros((N_TILES, N_JOINTS, WINDOW_LEN), dtype=bool)
-    for i, joint in enumerate(TILED_JOINTS):
-        masks[i + 1, JID[joint], :] = True
-    return feats, vels, masks
+    feats = windows.features.reshape((-1,) + windows.features.shape[-3:])
+    vels = windows.velocities.reshape((-1,) + windows.velocities.shape[-3:])
+    return (np.repeat(feats, N_TILES, axis=0), np.repeat(vels, N_TILES, axis=0),
+            np.tile(TILE_MASKS, (feats.shape[0], 1, 1)))
 
 
 def badness_rom(phi_base, phi_tile, rom, weights):
@@ -243,8 +245,8 @@ def peak_stat(series) -> float:
 
 
 def _decoded_reconstruction(params, cfg, feats, vels, masks):
-    """Batch-reconstruct and decode to Euler angles (float64)."""
-    recon = reconstruct(params, cfg, feats, vels, masks)
+    """Batch-reconstruct in float32 and decode to Euler angles (float64)."""
+    recon = reconstruct(params, cfg, feats.astype(np.float32), vels.astype(np.float32), masks)
     angles, _bad = decode_features(np.asarray(recon, dtype=float))
     return angles  # (B, 12, T, 3): decode acts on the trailing feature axis
 
@@ -257,13 +259,16 @@ def _check_model(cfg: ModelConfig):
 def compute_badness(
     params,
     cfg: ModelConfig,
-    windows,
+    windows: TokenWindows,
     topo: SkeletonTopology,
     rom: RomTable | None = None,
     *,
     batch_size: int = 32,
 ) -> BadnessSeries:
     """Score every window of a trial with the 7-tile probe.
+
+    ``windows`` may be any slice of a trial's windows (``[::stride]``); each
+    chunk of ``batch_size`` windows is tiled and reconstructed in one pass.
 
     Each window contributes one score per probed joint at its last frame:
     the baseline (unmasked) and tile (joint masked) reconstructions are
@@ -276,15 +281,11 @@ def compute_badness(
     rom = rom or default_rom_table()
     n_w = len(windows)
     series = np.zeros((len(TILED_JOINTS), n_w))
-    frames = np.array([w.start + WINDOW_LEN - 1 for w in windows], dtype=int)
+    frames = windows.starts + WINDOW_LEN - 1
 
     for lo in range(0, n_w, batch_size):
         chunk = windows[lo : lo + batch_size]
-        parts = [build_tiles(w) for w in chunk]
-        feats = np.concatenate([p[0] for p in parts], axis=0).astype(np.float32)
-        vels = np.concatenate([p[1] for p in parts], axis=0).astype(np.float32)
-        masks = np.concatenate([p[2] for p in parts], axis=0)
-        angles = _decoded_reconstruction(params, cfg, feats, vels, masks)
+        angles = _decoded_reconstruction(params, cfg, *build_tiles(chunk))
         # (n_chunk * 7, 12, 7, 3) -> last frame -> (n_chunk, 7, 12, 3)
         last = angles[:, :, -1, :].reshape(len(chunk), N_TILES, N_JOINTS, 3)
         pos = forward_kinematics(last, topo)  # (n_chunk, 7, 12, 3)
@@ -352,7 +353,6 @@ def detect_and_correct(
     threshold — and assembles the corrected trial from each window's last
     frame, with the opening frames taken from the first window.
     """
-    _check_model(cfg)
     angle_seq = np.asarray(angle_seq, dtype=float)
     windows = make_windows(angle_seq, stride=1)
     badness = compute_badness(params, cfg, windows[::detect_stride], topo, rom,
@@ -369,9 +369,7 @@ def detect_and_correct(
     big_batch = batch_size * N_TILES  # same memory budget as the tiled pass
     for lo in range(0, n_w, big_batch):
         chunk = windows[lo : lo + big_batch]
-        feats = np.stack([w.features for w in chunk]).astype(np.float32)
-        vels = np.stack([w.velocities for w in chunk]).astype(np.float32)
-        angles = _decoded_reconstruction(params, cfg, feats, vels, mask)
+        angles = _decoded_reconstruction(params, cfg, chunk.features, chunk.velocities, mask)
         last[lo : lo + len(chunk)] = angles[:, :, -1, :]
         if lo == 0:
             head = np.transpose(angles[0], (1, 0, 2))  # (7, 12, 3)

@@ -512,7 +512,7 @@ def load_checkpoint(path):
         raise DataError(f"{path}: not a checkpoint (bad magic)")
     try:
         return _parse_checkpoint(path, data)
-    except (struct.error, ValueError) as exc:
+    except (struct.error, TypeError, ValueError) as exc:
         raise DataError(f"{path}: truncated or corrupt checkpoint: {exc}") from exc
 
 

@@ -236,9 +236,6 @@ class SkeletonTopology:
         """Rest offset of ``child`` relative to its parent, subject-scaled."""
         return REST_UNIT[child] * self.lengths[child]
 
-    def joint_children(self, joint: str):
-        return [j for j, p in JOINT_PARENT.items() if p == joint]
-
 
 @dataclass
 class Pose:
@@ -253,14 +250,6 @@ class Pose:
             raise DataError(f"pose angles must be (12, 3), got {self.angles.shape}")
         if self.gimbal is None:
             self.gimbal = is_gimbal(self.angles)
-
-    @property
-    def gimbal_joints(self):
-        return [JOINTS[i] for i in np.flatnonzero(self.gimbal)]
-
-
-def default_topology() -> SkeletonTopology:
-    return SkeletonTopology()
 
 
 # =============================================================================
@@ -355,18 +344,6 @@ def estimate_floor(trial: Trial) -> float:
     if z.size == 0:
         raise DataError("ground clamp: no heel observations to estimate floor")
     return float(np.percentile(z, 1.0))
-
-
-def ground_contact_clamp(trial: Trial, floor: Optional[float] = None) -> Trial:
-    """Lift foot landmarks (heels, toes) below the floor plane up to it."""
-    if floor is None:
-        floor = estimate_floor(trial)
-    out = trial.copy()
-    feet = [LM[n] for n in ("l_heel", "r_heel", "l_toe", "r_toe")]
-    z = out.positions[:, feet, 2]
-    with np.errstate(invalid="ignore"):
-        out.positions[:, feet, 2] = np.where(z < floor, floor, z)
-    return out
 
 
 # =============================================================================
@@ -553,6 +530,22 @@ def _check_frames(pos: np.ndarray, required) -> None:
     raise DegenerateFrameError(f"frame {k}: {message}")
 
 
+def _rotations(u_primary, u_secondary, v_primary, v_secondary, rows, joint: str):
+    """``rotation_from_pairs`` over the trial frames ``rows``; raises
+    DegenerateFrameError naming the first frame whose observed primary
+    direction is parallel to its secondary hint."""
+    try:
+        return rotation_from_pairs(u_primary, u_secondary, v_primary, v_secondary)
+    except ValueError:
+        # the Gram-Schmidt step of rotations.orthonormal_pair, row by row
+        e0 = v_primary / np.linalg.norm(v_primary, axis=-1, keepdims=True)
+        s = v_secondary - np.sum(v_secondary * e0, axis=-1, keepdims=True) * e0
+        k = rows[int(np.argmax(np.linalg.norm(s, axis=-1) < 1e-12))]
+        raise DegenerateFrameError(
+            f"frame {k}: {joint} frame: primary direction parallel to its hint"
+        ) from None
+
+
 def _frames_from_positions(pos: np.ndarray) -> np.ndarray:
     """World frame of every joint in every frame, (N, 12, 3, 3), built from
     observables per the table; all frames at once."""
@@ -574,8 +567,9 @@ def _frames_from_positions(pos: np.ndarray) -> np.ndarray:
     y = np.array([0.0, 1.0, 0.0])
     frames = np.empty((pos.shape[0], N_JOINTS, 3, 3))
     pelvis = frames[:, JID["pelvis"]]
-    pelvis[:] = rotation_from_pairs(z, y, trunk, hip_axis)
-    frames[:, JID["neck"]] = rotation_from_pairs(y, z, sh_axis, pelvis @ z)
+    every = np.arange(pos.shape[0])
+    pelvis[:] = _rotations(z, y, trunk, hip_axis, every, "pelvis")
+    frames[:, JID["neck"]] = _rotations(y, z, sh_axis, pelvis @ z, every, "neck")
 
     # Elbows without a wrist keep their parent's frame (identity rotation).
     for joint, (d, ok) in primary.items():
@@ -583,8 +577,9 @@ def _frames_from_positions(pos: np.ndarray) -> np.ndarray:
         out = frames[:, JID[joint]]
         out[:] = parent
         aux = _AUX_AXIS[joint]
-        out[ok] = rotation_from_pairs(
-            REST_UNIT[_PRIMARY_CHILD[joint]], aux, d[ok], parent[ok] @ aux
+        out[ok] = _rotations(
+            REST_UNIT[_PRIMARY_CHILD[joint]], aux, d[ok], parent[ok] @ aux,
+            np.flatnonzero(ok), joint,
         )
 
     # Ankles without both toe and heel keep the knee's frame.
@@ -594,8 +589,9 @@ def _frames_from_positions(pos: np.ndarray) -> np.ndarray:
         ok = toe_ok & heel_ok
         out = frames[:, JID[f"{side}_ankle"]]
         out[:] = frames[:, JID[f"{side}_knee"]]
-        out[ok] = rotation_from_pairs(
-            REST_UNIT[f"{side}_toe"], REST_UNIT[f"{side}_heel"], d_toe[ok], d_heel[ok]
+        out[ok] = _rotations(
+            REST_UNIT[f"{side}_toe"], REST_UNIT[f"{side}_heel"], d_toe[ok], d_heel[ok],
+            np.flatnonzero(ok), f"{side}_ankle",
         )
     return frames
 
@@ -703,8 +699,3 @@ def forward_kinematics_landmarks(
         p = JID[parent]
         out[..., LM[name], :] = out[..., LM[parent], :] + world[..., p, :, :] @ topo.offset(name)
     return out
-
-
-def fk_joint_subset(frame_landmarks: np.ndarray) -> np.ndarray:
-    """Extract the (12, 3) joint rows from a (19, 3) landmark frame."""
-    return frame_landmarks[[LM[j] for j in JOINTS]]

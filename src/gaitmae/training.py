@@ -375,5 +375,5 @@ def load_train_config(path):
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     try:
         return TrainConfig(**doc.get("train", {})), CurriculumConfig(**doc.get("curriculum", {}))
-    except TypeError as e:
-        raise DataError(f"{path}: unknown training config key ({e})") from None
+    except (AttributeError, TypeError) as e:
+        raise DataError(f"{path}: malformed training config ({e})") from None

@@ -96,19 +96,6 @@ def load_trials(path) -> list[Trial]:
     return trials
 
 
-def export_positions_csv(path, trial: Trial) -> None:
-    """Flat CSV mirror of one trial: one row per (frame, landmark)."""
-    with open(path, "w") as fh:
-        fh.write("subject_id,condition,frame,t,landmark,x,y,z\n")
-        for i, (t, row) in enumerate(zip(trial.times, trial.positions)):
-            for name, xyz in zip(LANDMARKS, row):
-                if np.any(np.isnan(xyz)):
-                    coords = ",,"
-                else:
-                    coords = ",".join(f"{v:.9g}" for v in xyz)
-                fh.write(f"{trial.subject_id},{trial.condition},{i},{t:.9g},{name},{coords}\n")
-
-
 def write_angle_csv(path, angle_seq: np.ndarray) -> None:
     """Angle stream CSV: one row per frame, one column per (joint, axis)."""
     from .skeleton import JOINTS

@@ -31,7 +31,7 @@ from gaitmae.model import (
     save_checkpoint,
 )
 from gaitmae.skeleton import (
-    default_topology,
+    SkeletonTopology,
     extract_angle_sequence,
     forward_kinematics,
 )
@@ -152,7 +152,7 @@ class TestFormulaSuite:
 def test_kinematics_roundtrip_thousand_poses():
     t0 = time.monotonic()
     rng = np.random.default_rng(11)
-    topo = default_topology()
+    topo = SkeletonTopology()
     raw = rng.uniform(-1.2, 1.2, size=(1000, 12, 3))
     # project onto the representable family: angles whose FK positions are
     # self-consistent (leaf twists observable, canonical frame gauge)
@@ -386,22 +386,77 @@ class TestEndToEnd:
             assert (work / rel).exists(), rel
 
 
-def test_e2e_seed_deterministic(tmp_path):
-    """Two reduced-scale runs, same seed, byte-identical artifact trees.
+E2E_REDUCED = ["--seed", "21", "--train-subjects", "3", "--holdout-subjects", "2",
+               "--calib-subjects", "5", "--anomaly-subjects", "1",
+               "--epochs", "2", "--detect-stride", "8", "--iters", "2000"]
+
+
+@pytest.fixture(scope="module")
+def e2e_reduced_twice(tmp_path_factory):
+    """Two reduced-scale runs under the same seed.
 
     The full-scale double run would double the suite's longest stage; the
     reduced run exercises the identical code path end to end."""
-    args = ["--seed", "21", "--train-subjects", "3", "--holdout-subjects", "2",
-            "--calib-subjects", "5", "--anomaly-subjects", "1",
-            "--epochs", "2", "--detect-stride", "8", "--iters", "2000"]
-    wa, wb = tmp_path / "a", tmp_path / "b"
-    assert main(["e2e", "--workdir", str(wa)] + args) == 0
-    assert main(["e2e", "--workdir", str(wb)] + args) == 0
+    root = tmp_path_factory.mktemp("e2e-reduced")
+    wa, wb = root / "a", root / "b"
+    assert main(["e2e", "--workdir", str(wa)] + E2E_REDUCED) == 0
+    assert main(["e2e", "--workdir", str(wb)] + E2E_REDUCED) == 0
+    return wa, wb
+
+
+def test_e2e_seed_deterministic(e2e_reduced_twice):
+    """Same seed, byte-identical artifact trees."""
+    wa, wb = e2e_reduced_twice
     files_a = sorted(p.relative_to(wa) for p in wa.rglob("*") if p.is_file())
     files_b = sorted(p.relative_to(wb) for p in wb.rglob("*") if p.is_file())
     assert files_a == files_b
     for rel in files_a:
         assert (wa / rel).read_bytes() == (wb / rel).read_bytes(), rel
+
+
+def test_subcommands_reproduce_e2e(e2e_reduced_twice, tmp_path):
+    """calibrate, correct and evaluate on e2e's own corpora and checkpoint
+    write e2e's files byte for byte: both run the same stage code."""
+    work, _ = e2e_reduced_twice
+    corpus, model = work / "corpus", work / "model"
+    seed = ["--seed", "21"]
+
+    floor = tmp_path / "noise_floor.json"
+    assert main(["calibrate", "--corpus", str(corpus / "calib.jsonl"),
+                 "--checkpoint", str(model / "checkpoint.bin"),
+                 "--out", str(floor), "--stride", "8"] + seed) == 0
+    assert floor.read_bytes() == (model / "noise_floor.json").read_bytes()
+
+    twins, reports = tmp_path / "holdout_corrected.jsonl", tmp_path / "reports"
+    assert main(["correct", "--corpus", str(corpus / "holdout.jsonl"),
+                 "--checkpoint", str(model / "checkpoint.bin"),
+                 "--noise-floor", str(model / "noise_floor.json"),
+                 "--out", str(twins), "--stride", "8",
+                 "--report-dir", str(reports)] + seed) == 0
+    assert twins.read_bytes() == (corpus / "holdout_corrected.jsonl").read_bytes()
+    written = sorted(p.name for p in reports.iterdir())
+    assert written == sorted(p.name.removeprefix("holdout-")
+                             for p in (work / "reports").glob("holdout-*"))
+    for name in written:
+        assert (reports / name).read_bytes() == \
+            (work / "reports" / f"holdout-{name}").read_bytes(), name
+
+    def joined(name, *parts):
+        path = tmp_path / name
+        path.write_bytes(b"".join((corpus / p).read_bytes() for p in parts))
+        return str(path)
+
+    out = tmp_path / "eval"
+    out.mkdir()
+    assert main(["evaluate", "--normative", str(corpus / "train.jsonl"),
+                 "--originals", joined("originals.jsonl", "holdout.jsonl", "anomaly.jsonl"),
+                 "--corrected", joined("corrected.jsonl", "holdout_corrected.jsonl",
+                                       "anomaly_corrected.jsonl"),
+                 "--rmse-csv", str(out / "rmse.csv"),
+                 "--stats-json", str(out / "stats.json"),
+                 "--band-csv", str(out / "band.csv"), "--iters", "2000"] + seed) == 0
+    for name in ("rmse.csv", "stats.json", "band.csv"):
+        assert (out / name).read_bytes() == (work / "eval" / name).read_bytes(), name
 
 
 # =============================================================================

@@ -3,6 +3,7 @@ fast subcommands end to end on a miniature corpus."""
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import asdict
@@ -17,7 +18,13 @@ from gaitmae.cli import (
     main,
     save_pipeline_config,
 )
-from gaitmae.model import ModelConfig, init_parameters, save_checkpoint
+from gaitmae.model import (
+    CKPT_MAGIC,
+    CKPT_VERSION,
+    ModelConfig,
+    init_parameters,
+    save_checkpoint,
+)
 from gaitmae.synthgait import GaitGenConfig, config_as_dict
 from gaitmae.training import CurriculumConfig, TrainConfig
 
@@ -30,8 +37,6 @@ from gaitmae.training import CurriculumConfig, TrainConfig
 def test_pipeline_config_roundtrip_lossless(tmp_path):
     cfg = PipelineConfig(
         seed=99,
-        corpus="some/corpus.jsonl",
-        checkpoint="ckpt.bin",
         model=ModelConfig.tiny(),
         train=TrainConfig(lr=1e-3, epochs=7),
         curriculum=CurriculumConfig(transition_epochs=12),
@@ -104,6 +109,37 @@ def test_malformed_corpus_is_data_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "DataError"
     assert err["exit_code"] == 2
+
+
+def _checkpoint_with_header(header: dict) -> bytes:
+    h = json.dumps(header).encode()
+    return CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(h)) + h + struct.pack("<I", 0)
+
+
+@pytest.mark.parametrize("flag, content, named", [
+    ("--checkpoint", _checkpoint_with_header({"bogus": 1}), "corrupt checkpoint"),
+    ("--config", b"[1, 2]", "pipeline config"),
+    ("--config", b'{"gaitgen": [1]}', "pipeline config"),
+    ("--config", b'{"seed": "x"}', "pipeline config"),
+    ("--config", b'{"rom_path": "rom.json"}', "pipeline config"),
+], ids=["checkpoint-unknown-key", "config-list", "config-gaitgen-list", "config-seed-text",
+        "config-dropped-field"])
+def test_malformed_input_file_is_data_error(tmp_path, capsys, flag, content, named):
+    cfg = ModelConfig.tiny()
+    ckpt = tmp_path / "tiny.bin"
+    save_checkpoint(ckpt, init_parameters(cfg, np.random.default_rng(0)), cfg)
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("{}\n")
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    argv = {"--corpus": corpus, "--checkpoint": ckpt, "--out": tmp_path / "floor.json"}
+    argv[flag] = bad
+    rc = main(["calibrate"] + [str(x) for kv in argv.items() for x in kv])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError"
+    assert err["exit_code"] == 2
+    assert named in err["message"]
 
 
 def test_parser_knows_all_nine_commands():

@@ -16,10 +16,10 @@ from gaitmae.gaitcycle import (
     normalize_cycle,
     normalized_cycles,
     savgol,
-    segment_trial,
     write_cycle_report,
 )
-from gaitmae.skeleton import LM, N_LANDMARKS, Trial
+from gaitmae.pipeline import ProcessedTrial, segment
+from gaitmae.skeleton import LM, N_LANDMARKS, SkeletonTopology
 
 
 def _sine_heel(hz=1.0, seconds=5.0, fps=30.0, amp=0.04):
@@ -170,8 +170,10 @@ def test_segment_trial_uses_left_heel():
     pos[:, :, 2] = 0.9
     pos[:, LM["l_heel"], 2] = z
     pos[:, LM["r_heel"], 2] = 0.05
-    trial = Trial("S000", "normative", fps, np.arange(z.size) / fps, pos)
-    bounds = segment_trial(trial)
+    processed = ProcessedTrial("S000", "normative", fps, SkeletonTopology(), pos,
+                               angles=np.zeros((z.size, 12, 3)),
+                               gimbal=np.zeros((z.size, 12), dtype=bool))
+    bounds = segment(processed)
     assert bounds.n_cycles == 4
 
 

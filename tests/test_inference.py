@@ -54,7 +54,7 @@ def test_default_rom_table_well_formed():
     assert t.rom.shape == t.weights.shape == (12, 3)
     assert np.all(t.rom > 0)
     assert np.allclose(t.weights.sum(axis=1), 1.0, atol=1e-12)
-    rom, w = t.row("r_hip")
+    rom, w = t.rom[JID["r_hip"]], t.weights[JID["r_hip"]]
     assert rom[1] > rom[0]  # sagittal swing is the widest hip range
     assert w[1] == max(w)
 
@@ -77,19 +77,21 @@ def test_rom_table_validation():
 
 
 def test_rom_score_zero_when_equal():
-    rom, w = default_rom_table().row("r_hip")
+    t = default_rom_table()
+    rom, w = t.rom[JID["r_hip"]], t.weights[JID["r_hip"]]
     assert badness_rom([0.1, 0.2, 0.3], [0.1, 0.2, 0.3], rom, w) == 0.0
 
 
 def test_rom_score_saturates_at_full_range():
-    rom, _ = default_rom_table().row("r_hip")
+    rom = default_rom_table().rom[JID["r_hip"]]
     assert badness_rom([0, 0, 0], [rom[0], 0, 0], rom, [1, 0, 0]) == 1.0
     # overshooting the range clips rather than exceeding 1
     assert badness_rom([0, 0, 0], [3 * rom[0], 0, 0], rom, [1, 0, 0]) == 1.0
 
 
 def test_rom_score_wraps_full_turns():
-    rom, w = default_rom_table().row("r_hip")
+    t = default_rom_table()
+    rom, w = t.rom[JID["r_hip"]], t.weights[JID["r_hip"]]
     two_pi = np.full(3, 2 * np.pi)
     assert badness_rom(np.zeros(3), two_pi, rom, w) == pytest.approx(0.0, abs=1e-9)
 
@@ -169,6 +171,16 @@ def test_build_tiles_layout():
         assert np.array_equal(vels[tile], win.velocities)
 
 
+def test_build_tiles_many_windows_is_window_major():
+    wins = make_windows(np.random.default_rng(4).normal(0, 0.3, (12, 12, 3)))
+    feats, vels, masks = build_tiles(wins)
+    assert feats.shape == (6 * 7, 12, 7, 12) and vels.shape == (6 * 7, 12, 7, 3)
+    for w in range(len(wins)):
+        one = build_tiles(wins[w])
+        for got, want in zip((feats, vels, masks), one):
+            assert np.array_equal(got[7 * w : 7 * w + 7], want)
+
+
 def test_ankles_are_never_tiled():
     _, _, masks = build_tiles(make_windows(np.zeros((7, 12, 3)))[0])
     assert not masks[:, JID["l_ankle"]].any()
@@ -200,7 +212,7 @@ def test_badness_series_frames_and_ranges(tiny_model, topo):
     wins = _windows()
     b = compute_badness(params, cfg, wins, topo)
     assert b.joints == TILED_JOINTS
-    assert list(b.frames) == [w.start + 6 for w in wins]
+    assert list(b.frames) == list(wins.starts + 6)
     assert b.series.shape == (6, len(wins))
     assert b.series.min() >= 0.0 and b.series.max() <= 1.0
     assert b.summary.min() >= 0.0 and b.summary.max() <= 1.0
@@ -300,8 +312,8 @@ def test_flag_selection_top_k():
 
 
 def _assemble_oracle(params, cfg, windows, mask):
-    feats = np.stack([w.features for w in windows]).astype(np.float32)
-    vels = np.stack([w.velocities for w in windows]).astype(np.float32)
+    feats = windows.features.astype(np.float32)
+    vels = windows.velocities.astype(np.float32)
     angles, _ = decode_features(np.asarray(reconstruct(params, cfg, feats, vels, mask),
                                            dtype=float))
     head = np.transpose(angles[0], (1, 0, 2))

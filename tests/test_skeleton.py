@@ -16,16 +16,14 @@ from gaitmae.skeleton import (
     N_LANDMARKS,
     REST_LENGTH,
     REST_UNIT,
+    SkeletonTopology,
     Trial,
-    default_topology,
     estimate_floor,
     estimate_segment_lengths,
     extract_angles,
     extract_angle_sequence,
-    fk_joint_subset,
     forward_kinematics,
     forward_kinematics_landmarks,
-    ground_contact_clamp,
     interpolate_missing,
     pelvis_normalize,
     project_bone_length,
@@ -34,7 +32,7 @@ from gaitmae.skeleton import (
 
 
 def _rest_frame():
-    return forward_kinematics_landmarks(np.zeros((N_JOINTS, 3)), default_topology())
+    return forward_kinematics_landmarks(np.zeros((N_JOINTS, 3)), SkeletonTopology())
 
 
 def _trial_from_positions(pos, fps=30.0):
@@ -45,7 +43,7 @@ def _trial_from_positions(pos, fps=30.0):
 def _walking_like_trial(n=120, seed=0):
     """Rigid FK positions along a small smooth pose orbit, plus translation."""
     rng = np.random.default_rng(seed)
-    topo = default_topology()
+    topo = SkeletonTopology()
     t = np.arange(n) / 30.0
     base = rng.normal(0.0, 0.15, size=(N_JOINTS, 3))
     wob = 0.2 * np.sin(2 * np.pi * 1.0 * t)[:, None, None]
@@ -149,19 +147,17 @@ def test_project_two_sphere_concentric_raises():
 # -----------------------------------------------------------------------------
 
 
-def test_floor_and_ground_clamp():
-    trial, _ = _walking_like_trial()
-    trial.positions[:, :, 2] += 1.0
-    feet = [LM[n] for n in ("l_heel", "r_heel", "l_toe", "r_toe")]
+def test_interpolate_clamps_filled_foot_samples_to_floor():
+    trial, topo = _walking_like_trial()
+    heel = LM["l_heel"]
+    trial.positions[3, LM["l_ankle"], 2] -= 0.5   # the heel filled around it lands low
+    trial.positions[3, heel] = np.nan
+    trial.positions[10, heel, 2] -= 0.5           # observed below the floor: kept
     floor = estimate_floor(trial)
-    trial.positions[3, LM["l_heel"], 2] = floor - 0.05
-    out = ground_contact_clamp(trial, floor)
-    assert out.positions[3, LM["l_heel"], 2] == floor
-    z = out.positions[:, feet, 2]
-    assert np.nanmin(z) >= floor - 1e-12
-    # non-foot landmarks untouched
-    others = [i for i in range(N_LANDMARKS) if i not in feet]
-    assert np.array_equal(out.positions[:, others], trial.positions[:, others])
+    out = interpolate_missing(trial, topo)
+    assert out.positions[3, heel, 2] == floor
+    assert out.positions[10, heel, 2] == trial.positions[10, heel, 2] < floor
+    assert out.positions[3, LM["l_ankle"], 2] == trial.positions[3, LM["l_ankle"], 2]
 
 
 def test_estimate_floor_no_heels_raises():
@@ -291,7 +287,7 @@ def test_rest_pose_extracts_to_zero():
 
 
 def test_single_joint_rotation_recovered():
-    topo = default_topology()
+    topo = SkeletonTopology()
     angles = np.zeros((N_JOINTS, 3))
     angles[JID["r_elbow"], 0] = np.pi / 6
     frame = forward_kinematics_landmarks(angles, topo)
@@ -303,7 +299,7 @@ def test_single_joint_rotation_recovered():
 
 
 def test_fk_zero_pose_is_rest_and_lengths_match():
-    topo = default_topology()
+    topo = SkeletonTopology()
     lm = forward_kinematics_landmarks(np.zeros((N_JOINTS, 3)), topo)
     from gaitmae.skeleton import LANDMARK_PARENT
 
@@ -314,8 +310,8 @@ def test_fk_zero_pose_is_rest_and_lengths_match():
 
 
 def test_fk_scales_linearly_with_lengths():
-    topo = default_topology()
-    doubled = default_topology()
+    topo = SkeletonTopology()
+    doubled = SkeletonTopology()
     doubled.lengths = {k: 2.0 * v for k, v in topo.lengths.items()}
     rng = np.random.default_rng(12)
     pose = rng.normal(0.0, 0.4, size=(N_JOINTS, 3))
@@ -324,7 +320,7 @@ def test_fk_scales_linearly_with_lengths():
 
 
 def test_fk_batch_matches_loop():
-    topo = default_topology()
+    topo = SkeletonTopology()
     rng = np.random.default_rng(13)
     poses = rng.normal(0.0, 0.5, size=(6, N_JOINTS, 3))
     batch = forward_kinematics_landmarks(poses, topo)
@@ -338,7 +334,7 @@ def test_roundtrip_on_constraint_satisfying_frames():
     # landmarks cannot witness, e.g. head yaw, is resolved by convention).
     # One extract+FK pass projects onto the representable family; on that
     # family the roundtrip is exact.
-    topo = default_topology()
+    topo = SkeletonTopology()
     rng = np.random.default_rng(14)
     worst = 0.0
     for _ in range(100):
@@ -353,7 +349,7 @@ def test_roundtrip_on_constraint_satisfying_frames():
 def test_unprojected_random_pose_roundtrip_fails_only_at_head():
     # documents the one unobservable direction: everything except the nose
     # is pinned by landmark directions even for arbitrary poses
-    topo = default_topology()
+    topo = SkeletonTopology()
     rng = np.random.default_rng(15)
     pose = rng.normal(0.0, 0.5, size=(N_JOINTS, 3))
     frame = forward_kinematics_landmarks(pose, topo)
@@ -418,7 +414,7 @@ def _reference_angles(frame):
 def _pose_stack(n, seed):
     rng = np.random.default_rng(seed)
     poses = rng.normal(0.0, 0.3, size=(n, N_JOINTS, 3))
-    return forward_kinematics_landmarks(poses, default_topology())
+    return forward_kinematics_landmarks(poses, SkeletonTopology())
 
 
 def test_extract_angle_sequence_shapes_and_gimbal():
@@ -445,7 +441,7 @@ def test_extract_angle_sequence_shapes_and_gimbal():
 
 
 def test_extract_angle_sequence_accepts_joint_stacks():
-    topo = default_topology()
+    topo = SkeletonTopology()
     rng = np.random.default_rng(17)
     poses = rng.normal(0.0, 0.3, size=(6, N_JOINTS, 3))
     joints = forward_kinematics(poses, topo)
@@ -474,9 +470,10 @@ def test_extract_sequence_coincident_hips_is_degenerate():
         extract_angle_sequence(frames)
 
 
-def test_fk_joint_subset_orders_rows_like_joints():
-    frame = _rest_frame()
-    sub = fk_joint_subset(frame)
-    assert sub.shape == (N_JOINTS, 3)
-    for j in JOINTS:
-        assert np.array_equal(sub[JID[j]], frame[LM[j]])
+def test_extract_sequence_trunk_along_hip_axis_is_degenerate():
+    frames = _pose_stack(5, seed=20)
+    hips = frames[3, LM["l_hip"]] - frames[3, LM["r_hip"]]
+    frames[3, LM["neck"]] = frames[3, LM["pelvis"]] + hips
+    with pytest.raises(DegenerateFrameError, match="frame 3") as exc:
+        extract_angle_sequence(frames)
+    assert exc.value.exit_code == 3

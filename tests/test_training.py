@@ -325,7 +325,7 @@ def test_train_config_roundtrip(tmp_path):
     assert tc2 == tc and cc2 == cc
 
 
-@pytest.mark.parametrize("text", ['{"train": {"learning_rate": 1}}', "{not json"])
+@pytest.mark.parametrize("text", ['{"train": {"learning_rate": 1}}', "{not json", "[1, 2]"])
 def test_train_config_unknown_key_or_not_json(tmp_path, text):
     path = tmp_path / "train.json"
     path.write_text(text)

@@ -1,4 +1,4 @@
-"""Trial JSONL round-tripping and flat CSV exports."""
+"""Trial JSONL round-tripping and the angle-stream CSV export."""
 
 import json
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from gaitmae.errors import DataError
-from gaitmae.skeleton import LANDMARKS, LM, Trial
+from gaitmae.skeleton import LM, Trial
 from gaitmae.synthgait import AnomalySpec, GaitGenConfig, generate_normative, inject_anomaly
 from gaitmae.trialio import (
-    export_positions_csv,
     load_trials,
     save_trials,
     trial_from_obj,
@@ -94,17 +93,6 @@ def test_blank_lines_are_skipped(tmp_path, corpus):
     body = "\n\n".join(json.dumps(trial_to_obj(t), sort_keys=True) for t in corpus[:2])
     p.write_text(body + "\n")
     assert len(load_trials(p)) == 2
-
-
-def test_positions_csv_layout(tmp_path, corpus):
-    trial = corpus[-1]  # has dropout gaps
-    p = tmp_path / "t.csv"
-    export_positions_csv(p, trial)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "subject_id,condition,frame,t,landmark,x,y,z"
-    assert len(lines) == 1 + trial.n_frames * len(LANDMARKS)
-    missing = [ln for ln in lines[1:] if ln.endswith(",,")]
-    assert len(missing) == int(np.isnan(trial.positions).any(axis=-1).sum())
 
 
 def test_angle_csv_layout(tmp_path):
