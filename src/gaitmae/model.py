@@ -15,8 +15,10 @@ and linearly projects back to the 12 feature channels.
 
 Forward *and* backward passes are written out explicitly in numpy — no
 autograd framework — so every gradient can be audited against central finite
-differences (see tests). Caches returned by ``forward`` hold exactly the
-intermediates the hand-written backward needs.
+differences (see tests). ``forward`` and ``reconstruct`` run one model body:
+the cache ``forward`` returns holds exactly the intermediates the hand-written
+backward needs, and ``reconstruct`` (inference) keeps none of them, freeing
+each activation once the next is computed.
 """
 
 from __future__ import annotations
@@ -172,8 +174,10 @@ def zeros_like_params(params: dict) -> dict:
 # =============================================================================
 
 
-def _linear_fwd(x, w, b):
-    return x @ w + b, (x, w)
+def _linear_fwd(x, w, b, keep=True):
+    y = x @ w
+    y += b
+    return y, ((x, w) if keep else None)
 
 
 def _linear_bwd(dy, cache, grads, wname, bname):
@@ -186,13 +190,19 @@ def _linear_bwd(dy, cache, grads, wname, bname):
     return dx
 
 
-def _layernorm_fwd(x, g, b):
+def _layernorm_fwd(x, g, b, keep=True):
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv, g)
+    xhat *= inv
+    if keep:
+        y = xhat * g
+        y += b
+        return y, (xhat, inv, g)
+    xhat *= g
+    xhat += b
+    return xhat, None
 
 
 def _layernorm_bwd(dy, cache, grads, gname, bname):
@@ -208,9 +218,15 @@ def _layernorm_bwd(dy, cache, grads, gname, bname):
     return (dxhat - mean_d - xhat * mean_dx) * inv
 
 
-def _gelu_fwd(x):
-    phi = 0.5 * (1.0 + erf(x / SQRT2))
-    return x * phi, (x, phi)
+def _gelu_fwd(x, keep=True):
+    phi = x / SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    if keep:
+        return x * phi, (x, phi)
+    phi *= x
+    return phi, None
 
 
 def _gelu_bwd(dy, cache):
@@ -254,24 +270,29 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, s, h * hd)
 
 
-def _attention_fwd(x, params, base, cfg):
-    q, cq = _linear_fwd(x, params[f"{base}.wq"], params[f"{base}.bq"])
-    k, ck = _linear_fwd(x, params[f"{base}.wk"], params[f"{base}.bk"])
-    v, cv = _linear_fwd(x, params[f"{base}.wv"], params[f"{base}.bv"])
+def _attention_fwd(x, params, base, cfg, keep=True):
+    q, cq = _linear_fwd(x, params[f"{base}.wq"], params[f"{base}.bq"], keep)
     qh = _split_heads(q, cfg.n_heads, cfg.head_dim)
+    k, ck = _linear_fwd(x, params[f"{base}.wk"], params[f"{base}.bk"], keep)
     kh = _split_heads(k, cfg.n_heads, cfg.head_dim)
+    v, cv = _linear_fwd(x, params[f"{base}.wv"], params[f"{base}.bv"], keep)
     vh = _split_heads(v, cfg.n_heads, cfg.head_dim)
+    del q, k, v
     scale = np.asarray(1.0 / np.sqrt(cfg.head_dim), dtype=x.dtype)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-    probs = _softmax(scores)
+    probs = qh @ kh.transpose(0, 1, 3, 2)
+    probs *= scale
+    _softmax(probs)
     ctx = probs @ vh
-    merged = _merge_heads(ctx)
-    out, co = _linear_fwd(merged, params[f"{base}.wo"], params[f"{base}.bo"])
-    return out, (cq, ck, cv, qh, kh, vh, probs, co, scale)
+    cache = (cq, ck, cv, qh, kh, vh, probs, scale) if keep else None
+    del qh, kh, vh, probs
+    out, co = _linear_fwd(_merge_heads(ctx), params[f"{base}.wo"], params[f"{base}.bo"], keep)
+    if not keep:
+        return out, None
+    return out, cache + (co,)
 
 
 def _attention_bwd(dy, cache, grads, base, cfg):
-    cq, ck, cv, qh, kh, vh, probs, co, scale = cache
+    cq, ck, cv, qh, kh, vh, probs, scale, co = cache
     dmerged = _linear_bwd(dy, co, grads, f"{base}.wo", f"{base}.bo")
     b, s, _ = dmerged.shape
     dctx = dmerged.reshape(b, s, cfg.n_heads, cfg.head_dim).transpose(0, 2, 1, 3)
@@ -291,18 +312,25 @@ def _attention_bwd(dy, cache, grads, base, cfg):
     return dx
 
 
-def _block_fwd(x, params, base, cfg, train, rng):
-    h, c_ln1 = _layernorm_fwd(x, params[f"{base}.ln1.g"], params[f"{base}.ln1.b"])
-    a, c_attn = _attention_fwd(h, params, f"{base}.attn", cfg)
+def _block_fwd(x, params, base, cfg, train, rng, keep=True):
+    """One pre-norm layer. With ``keep`` false nothing is cached and each
+    intermediate is dropped as soon as the next one exists."""
+    h, c_ln1 = _layernorm_fwd(x, params[f"{base}.ln1.g"], params[f"{base}.ln1.b"], keep)
+    a, c_attn = _attention_fwd(h, params, f"{base}.attn", cfg, keep)
+    del h
     a, c_drop1 = _dropout_fwd(a, cfg.dropout, train, rng)
-    x = x + a
-    h2, c_ln2 = _layernorm_fwd(x, params[f"{base}.ln2.g"], params[f"{base}.ln2.b"])
-    f1, c_f1 = _linear_fwd(h2, params[f"{base}.ffn.w1"], params[f"{base}.ffn.b1"])
-    g, c_gelu = _gelu_fwd(f1)
-    f2, c_f2 = _linear_fwd(g, params[f"{base}.ffn.w2"], params[f"{base}.ffn.b2"])
-    f2, c_drop2 = _dropout_fwd(f2, cfg.dropout, train, rng)
-    x = x + f2
-    return x, (c_ln1, c_attn, c_drop1, c_ln2, c_f1, c_gelu, c_f2, c_drop2)
+    a += x
+    x = a
+    h, c_ln2 = _layernorm_fwd(x, params[f"{base}.ln2.g"], params[f"{base}.ln2.b"], keep)
+    f, c_f1 = _linear_fwd(h, params[f"{base}.ffn.w1"], params[f"{base}.ffn.b1"], keep)
+    del h
+    f, c_gelu = _gelu_fwd(f, keep)
+    f, c_f2 = _linear_fwd(f, params[f"{base}.ffn.w2"], params[f"{base}.ffn.b2"], keep)
+    f, c_drop2 = _dropout_fwd(f, cfg.dropout, train, rng)
+    f += x
+    if not keep:
+        return f, None
+    return f, (c_ln1, c_attn, c_drop1, c_ln2, c_f1, c_gelu, c_f2, c_drop2)
 
 
 def _block_bwd(dy, cache, grads, base, cfg):
@@ -350,6 +378,69 @@ def grid_codes(params: dict, cfg: ModelConfig, dtype) -> np.ndarray:
     return pe + ej + et
 
 
+def _prepare(params, cfg, feats, vels, mask):
+    """Flat (B, S, ·) model inputs, the mask selector and the grid codes."""
+    dtype = params["embed.w_in"].dtype
+    feats, vels, mask, single = _as_batch(feats, vels, mask, cfg)
+    b = feats.shape[0]
+    s = cfg.seq_len
+    f_flat = np.ascontiguousarray(feats, dtype=dtype).reshape(b, s, cfg.feat_dim)
+    v_flat = np.ascontiguousarray(vels, dtype=dtype).reshape(b, s, cfg.vel_dim)
+    m_flat = mask.reshape(b, s)
+    return f_flat, v_flat, m_flat, grid_codes(params, cfg, dtype), single
+
+
+def _encoder_fwd(params, cfg, f_flat, v_flat, sel, codes, train, rng, keep):
+    """Embedding + encoder stack + final norm -> (memory, cache entries)."""
+    content, c_in = _linear_fwd(f_flat, params["embed.w_in"], params["embed.b_in"], keep)
+    motion, c_mot = _linear_fwd(v_flat, params["embed.w_motion"],
+                                np.zeros((), dtype=f_flat.dtype), keep)
+    content += motion
+    del motion
+    x = np.where(sel, params["embed.mask_token"], content)
+    del content
+    x += codes
+    x, c_edrop = _dropout_fwd(x, cfg.dropout, train, rng)
+    enc_caches = []
+    for base in _layer_names("enc", cfg.enc_layers):
+        x, c = _block_fwd(x, params, base, cfg, train, rng, keep)
+        enc_caches.append(c)
+    memory, c_elnf = _layernorm_fwd(x, params["enc.ln_f.g"], params["enc.ln_f.b"], keep)
+    return memory, {"c_in": c_in, "c_mot": c_mot, "c_edrop": c_edrop,
+                    "enc": enc_caches, "c_elnf": c_elnf}
+
+
+def _decoder_fwd(params, cfg, memory, sel, codes, train, rng, keep):
+    """Re-embedding + decoder stack + head -> (recon (B, S, F), cache entries)."""
+    x = np.where(sel, params["embed.mask_token"], memory)
+    x += codes
+    x, c_ddrop = _dropout_fwd(x, cfg.dropout, train, rng)
+    dec_caches = []
+    for base in _layer_names("dec", cfg.dec_layers):
+        x, c = _block_fwd(x, params, base, cfg, train, rng, keep)
+        dec_caches.append(c)
+    x, c_dlnf = _layernorm_fwd(x, params["dec.ln_f.g"], params["dec.ln_f.b"], keep)
+    recon, c_head = _linear_fwd(x, params["head.w"], params["head.b"], keep)
+    return recon, {"c_ddrop": c_ddrop, "dec": dec_caches, "c_dlnf": c_dlnf,
+                   "c_head": c_head}
+
+
+def _model_fwd(params, cfg, feats, vels, mask, train, rng, keep):
+    """The one model body behind ``forward`` (``keep`` true, returning the
+    backward cache) and ``reconstruct`` (``keep`` false, no cache)."""
+    f_flat, v_flat, m_flat, codes, single = _prepare(params, cfg, feats, vels, mask)
+    sel = m_flat[..., None]
+    memory, enc_cache = _encoder_fwd(params, cfg, f_flat, v_flat, sel, codes,
+                                     train, rng, keep)
+    recon, dec_cache = _decoder_fwd(params, cfg, memory, sel, codes, train, rng, keep)
+    recon = recon.reshape(m_flat.shape[0], cfg.n_joints, cfg.window, cfg.feat_dim)
+    if single:
+        recon = recon[0]
+    if not keep:
+        return recon, None
+    return recon, {"single": single, "mask": m_flat, **enc_cache, **dec_cache}
+
+
 def forward(params, cfg: ModelConfig, feats, vels, mask=None, *, train=False, rng=None):
     """Run the full masked autoencoder.
 
@@ -358,54 +449,7 @@ def forward(params, cfg: ModelConfig, feats, vels, mask=None, *, train=False, rn
     """
     if train and cfg.dropout > 0.0 and rng is None:
         raise DataError("training forward needs an rng for dropout")
-    dtype = params["embed.w_in"].dtype
-    feats, vels, mask, single = _as_batch(feats, vels, mask, cfg)
-    b = feats.shape[0]
-    s = cfg.seq_len
-    f_flat = np.ascontiguousarray(feats, dtype=dtype).reshape(b, s, cfg.feat_dim)
-    v_flat = np.ascontiguousarray(vels, dtype=dtype).reshape(b, s, cfg.vel_dim)
-    m_flat = mask.reshape(b, s)
-
-    content, c_in = _linear_fwd(f_flat, params["embed.w_in"], params["embed.b_in"])
-    motion, c_mot = _linear_fwd(v_flat, params["embed.w_motion"], np.zeros((), dtype=dtype))
-    content = content + motion
-    codes = grid_codes(params, cfg, dtype)
-    sel = m_flat[..., None]
-    enc_x = np.where(sel, params["embed.mask_token"], content) + codes
-    enc_x, c_edrop = _dropout_fwd(enc_x, cfg.dropout, train, rng)
-
-    enc_caches = []
-    x = enc_x
-    for base in _layer_names("enc", cfg.enc_layers):
-        x, c = _block_fwd(x, params, base, cfg, train, rng)
-        enc_caches.append(c)
-    memory, c_elnf = _layernorm_fwd(x, params["enc.ln_f.g"], params["enc.ln_f.b"])
-
-    dec_x = np.where(sel, params["embed.mask_token"], memory) + codes
-    dec_x, c_ddrop = _dropout_fwd(dec_x, cfg.dropout, train, rng)
-    dec_caches = []
-    x = dec_x
-    for base in _layer_names("dec", cfg.dec_layers):
-        x, c = _block_fwd(x, params, base, cfg, train, rng)
-        dec_caches.append(c)
-    dec_out, c_dlnf = _layernorm_fwd(x, params["dec.ln_f.g"], params["dec.ln_f.b"])
-    recon_flat, c_head = _linear_fwd(dec_out, params["head.w"], params["head.b"])
-    recon = recon_flat.reshape(b, cfg.n_joints, cfg.window, cfg.feat_dim)
-    cache = {
-        "single": single,
-        "mask": m_flat,
-        "c_in": c_in,
-        "c_mot": c_mot,
-        "c_edrop": c_edrop,
-        "enc": enc_caches,
-        "c_elnf": c_elnf,
-        "memory": memory,
-        "c_ddrop": c_ddrop,
-        "dec": dec_caches,
-        "c_dlnf": c_dlnf,
-        "c_head": c_head,
-    }
-    return (recon[0] if single else recon), cache
+    return _model_fwd(params, cfg, feats, vels, mask, train, rng, keep=True)
 
 
 def backward(params, cfg: ModelConfig, cache, d_recon, grads=None) -> dict:
@@ -461,15 +505,24 @@ def _codes_bwd(dx, grads, cfg):
 
 
 def encoder_memory(params, cfg: ModelConfig, feats, vels, mask=None):
-    """Encoder output only (no decoder); used by the masking-soundness test."""
-    _, cache = forward(params, cfg, feats, vels, mask, train=False)
-    mem = cache["memory"]
-    return mem[0] if cache["single"] else mem
+    """Encoder output only (no decoder, no cache); used by the masking-soundness
+    test."""
+    f_flat, v_flat, m_flat, codes, single = _prepare(params, cfg, feats, vels, mask)
+    mem, _ = _encoder_fwd(params, cfg, f_flat, v_flat, m_flat[..., None], codes,
+                          False, None, keep=False)
+    return mem[0] if single else mem
 
 
 def reconstruct(params, cfg: ModelConfig, window_feats, window_vels, mask=None):
-    """Inference-mode reconstruction (no dropout). Returns the feature grid."""
-    recon, _ = forward(params, cfg, window_feats, window_vels, mask, train=False)
+    """Inference-mode reconstruction (no dropout). Returns the feature grid.
+
+    Runs the same model body as ``forward`` but keeps no backward cache: each
+    layer's activations and attention probabilities are freed as soon as the
+    next intermediate exists, so a batch holds about one layer's working set
+    instead of every layer's. Outputs equal ``forward(...)[0]`` bit for bit.
+    """
+    recon, _ = _model_fwd(params, cfg, window_feats, window_vels, mask,
+                          False, None, keep=False)
     return recon
 
 

@@ -41,30 +41,48 @@ def trial_to_obj(trial: Trial) -> dict:
     return obj
 
 
+_MISSING = (float("nan"),) * 3
+
+
 def trial_from_obj(obj: dict) -> Trial:
-    """Inverse of trial_to_obj; raises DataError on malformed input."""
+    """Inverse of trial_to_obj; raises DataError on malformed input.
+
+    Every landmark must be null (or absent) or exactly three numbers; the
+    (n, 19, 3) position array is built in one conversion of all of them.
+    """
     try:
         frames = obj["frames"]
-        n = len(frames)
-        times = np.empty(n)
-        positions = np.full((n, N_LANDMARKS, 3), np.nan)
-        for i, frame in enumerate(frames):
-            times[i] = float(frame["t"])
-            lms = frame["landmarks"]
-            for k, name in enumerate(LANDMARKS):
-                xyz = lms.get(name)
-                if xyz is not None:
-                    positions[i, k] = [float(v) for v in xyz]
+        times = np.array([float(frame["t"]) for frame in frames])
+        rows = [_MISSING if xyz is None else xyz
+                for frame in frames for xyz in map(frame["landmarks"].get, LANDMARKS)]
+        positions = _landmark_array(rows)
+        if positions is None:
+            i = next(i for i, xyz in enumerate(rows) if _landmark_array([xyz]) is None)
+            frame, k = divmod(i, N_LANDMARKS)
+            raise DataError(f"malformed trial record: frame {frame} landmark "
+                            f"{LANDMARKS[k]!r} must be null or [x, y, z], got {rows[i]!r}")
         return Trial(
             subject_id=str(obj["subject_id"]),
             condition=str(obj["condition"]),
             fps=float(obj["fps"]),
             times=times,
-            positions=positions,
+            positions=positions.reshape(len(frames), N_LANDMARKS, 3),
             source=obj.get("source"),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed trial record: {exc}") from exc
+
+
+def _landmark_array(rows):
+    """(len(rows), 3) float array, or None unless every row is three numbers
+    or missing as a whole (a null coordinate converts to NaN)."""
+    try:
+        arr = np.array(rows or np.empty((0, 3)), dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if arr.shape != (len(rows), 3) or np.any(np.isnan(arr).sum(axis=-1) % 3):
+        return None
+    return arr
 
 
 def save_trials(path, trials) -> None:

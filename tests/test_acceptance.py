@@ -111,32 +111,41 @@ class TestFormulaSuite:
         t0 = time.monotonic()
         rng = np.random.default_rng(2024)
         n = 100_000
-        # geom over random nonzero vector pairs, vectorized formula identity
+        # geom over random nonzero vector pairs: the program's vectorized op
+        # on every row is bounded and matches the formula
         a = rng.normal(size=(n, 3))
         b = rng.normal(size=(n, 3))
         cos = np.sum(a * b, axis=1) / (np.linalg.norm(a, axis=1)
                                        * np.linalg.norm(b, axis=1))
-        e = (1.0 - np.clip(cos, -1.0, 1.0)) / 2.0
+        e_ref = (1.0 - np.clip(cos, -1.0, 1.0)) / 2.0
+        e = badness_geom(a, b)
+        assert e.shape == (n,)
         assert np.all((e >= 0.0) & (e <= 1.0))
+        assert np.abs(e - e_ref).max() <= 1e-12
         for i in rng.integers(0, n, size=200):           # spot-check the scalar op
             val = badness_geom(a[i], b[i])
             assert 0.0 <= val <= 1.0
-            assert val == pytest.approx(e[i], abs=1e-12)
-        # rom over random angles/rom/weights
+            assert val == pytest.approx(e_ref[i], abs=1e-12)
+        # rom over random angles/rom/weights, same checks; the reference sum
+        # is not clamped, so Dirichlet weights may carry it past 1 by rounding
         phi_a = rng.uniform(-10, 10, size=(n, 3))
         phi_b = rng.uniform(-10, 10, size=(n, 3))
         rom = rng.uniform(0.1, 3.0, size=(n, 3))
         w = rng.dirichlet((1.0, 1.0, 1.0), size=n)
         d = np.abs((phi_b - phi_a + np.pi) % (2 * np.pi) - np.pi)
-        c = np.sum(w * np.clip(d / rom, 0.0, 1.0), axis=1)
+        c_ref = np.sum(w * np.clip(d / rom, 0.0, 1.0), axis=1)
+        c = badness_rom(phi_a, phi_b, rom, w)
+        assert c.shape == (n,)
         assert np.all((c >= 0.0) & (c <= 1.0))
+        assert np.abs(c - c_ref).max() <= 1e-12
         for i in rng.integers(0, n, size=200):
             val = badness_rom(phi_a[i], phi_b[i], rom[i], w[i])
             assert 0.0 <= val <= 1.0
-            assert val == pytest.approx(c[i], abs=1e-12)
+            assert val == pytest.approx(c_ref[i], abs=1e-12)
         # combine stays inside [0,1] whenever its inputs do
-        bb = e * (0.5 + 0.5 * c)
+        bb = badness_combine(e, c)
         assert np.all((bb >= 0.0) & (bb <= 1.0))
+        assert np.abs(bb - e_ref * (0.5 + 0.5 * c_ref)).max() <= 1e-12
         # peak_stat of [0,1] series stays in [0,1]
         for _ in range(300):
             s = rng.uniform(0.0, 1.0, size=rng.integers(1, 60))

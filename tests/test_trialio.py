@@ -71,6 +71,22 @@ def test_null_and_absent_landmarks_become_nan():
     assert t.positions[0, LM["pelvis"]].tolist() == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("bad", [[5.0], [1, 2], [1, None, 3], [1, 2, 3, 4], "xyz"])
+def test_landmark_that_is_not_three_numbers_is_rejected(tmp_path, bad):
+    obj = trial_to_obj(Trial(subject_id="X", condition="normative", fps=30.0,
+                             times=np.array([0.0, 0.1]),
+                             positions=np.zeros((2, 19, 3))))
+    obj["frames"][1]["landmarks"]["l_knee"] = bad
+    with pytest.raises(DataError, match="frame 1 landmark 'l_knee'"):
+        trial_from_obj(obj)
+    p = tmp_path / "short.jsonl"
+    p.write_text(json.dumps(trial_to_obj(Trial("A", "normative", 30.0, np.zeros(1),
+                                                 np.zeros((1, 19, 3)))))
+                 + "\n" + json.dumps(obj) + "\n")
+    with pytest.raises(DataError, match="short.jsonl:2: .*'l_knee'"):
+        load_trials(p)
+
+
 def test_load_errors_carry_line_numbers(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"subject_id": "A", "condition": "normative", "fps": 30, "frames": []}\nnot json\n')
